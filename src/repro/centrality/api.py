@@ -91,9 +91,8 @@ def _resolve_batch_size(
     """Resolve ``"auto"`` to a calibrated batch size at the point the graph is known.
 
     On the dict backend there are no batch kernels to calibrate, so
-    ``"auto"`` resolves to ``None`` — the legacy sequential path — rather
-    than engaging the execution plan (and its pre-drawn proposal stream)
-    for a size-1 batch that could never be faster.  *workload* is the
+    ``"auto"`` resolves to ``None`` — the default batch size, which is
+    result-neutral there like any other.  *workload* is the
     caller's rough count of upcoming Brandes passes; the probe is scaled
     down for small jobs so calibration never rivals the work it is meant
     to speed up (a cruder, noisier probe is the right trade there).
@@ -113,17 +112,11 @@ def _resolve_n_jobs(
 ):
     """Resolve ``"auto"`` to a calibrated worker count at the point the graph is known.
 
-    Unlike an unset ``n_jobs``, the calibrated count **always engages** the
-    execution engine — even when the probe picks 1 worker.  The engine's
-    sharded discipline is what makes results n_jobs-invariant; resolving to
-    ``None`` (the legacy sequential path, whose accumulation order and rng
-    consumption differ for the stochastic samplers) would let wall-clock
-    noise pick between two differently-ordered computations, breaking the
-    "timing can never change an estimate" contract.  On the dict backend
-    the sharded path exists too, but there are no batch kernels to amortise
-    pool traffic against, so ``"auto"`` resolves to an engaged 1 without
-    probing.  *workload* scales the probe down for small jobs, like
-    :func:`_resolve_batch_size`.
+    The engine's sharded discipline makes results n_jobs-invariant, so the
+    timed choice can never change an estimate.  On the dict backend there
+    are no batch kernels to amortise pool traffic against, so ``"auto"``
+    resolves to 1 without probing.  *workload* scales the probe down for
+    small jobs, like :func:`_resolve_batch_size`.
     """
     if n_jobs == "auto":
         if resolve_backend(backend) != "csr":
@@ -169,8 +162,8 @@ def _resolve_kernel_threads(
 #: Estimator registry for :func:`betweenness_single`.  Every factory accepts
 #: the traversal ``backend`` (``"auto"`` / ``"dict"`` / ``"csr"``) plus the
 #: execution-engine knobs ``batch_size`` / ``n_jobs`` (see
-#: :mod:`repro.execution`); calling one with no argument keeps the
-#: pre-backend behaviour (``"auto"``, sequential).
+#: :mod:`repro.execution`); calling one with no argument gives the
+#: default plan (``"auto"`` backend, one job, the default batch size).
 SINGLE_VERTEX_METHODS = {
     "mh": lambda backend="auto", batch_size=None, n_jobs=None: SingleSpaceMHSampler(
         backend=backend, batch_size=batch_size, n_jobs=n_jobs
@@ -248,8 +241,9 @@ def betweenness_single(
     batch_size, n_jobs:
         Execution-engine knobs (:mod:`repro.execution`): sources per
         batched CSR traversal and worker processes for the sharded source
-        loop.  Engaging the engine keeps results deterministic — identical
-        for any ``n_jobs`` / ``batch_size`` at a fixed seed — per the
+        loop (defaults: :data:`~repro.execution.plan.DEFAULT_BATCH_SIZE`
+        and 1).  Results are deterministic — identical for any ``n_jobs`` /
+        ``batch_size`` at a fixed seed, the default call included — per the
         estimator-specific notes on each sampler class.  ``batch_size``
         additionally accepts ``"auto"``: the block size is calibrated from
         a short timed probe on *graph*
@@ -257,9 +251,9 @@ def betweenness_single(
         wall-clock only, never the estimate for a given resolved size.
         ``n_jobs`` likewise accepts ``"auto"``
         (:func:`repro.execution.calibrate_n_jobs`): the worker count is
-        probed with real pool spin-ups and always engages the execution
-        engine, whose sharded discipline is n_jobs-invariant — so the
-        timing-chosen count can never change the estimate either.
+        probed with real pool spin-ups; the engine's sharded discipline is
+        n_jobs-invariant, so the timing-chosen count can never change the
+        estimate either.
     kernel:
         CSR kernel rung (``"auto"`` / ``"csr"`` / ``"compiled"``, see
         :func:`~repro.graphs.csr.resolve_kernel`); the compiled rung is
@@ -278,8 +272,8 @@ def betweenness_single(
         ``n_jobs`` worker processes, pooled with a deterministic ordered
         reduce), and ``rhat_target`` optionally adds split-R̂-driven
         adaptive burn-in and early stopping.  ``rhat_target`` alone implies
-        ``n_chains=DEFAULT_CHAINS``.  ``n_chains=1`` reproduces the legacy
-        sequential sampler bit for bit.  Rejected for the non-MCMC
+        ``n_chains=DEFAULT_CHAINS``.  ``n_chains=1`` reproduces the
+        single-chain sampler bit for bit.  Rejected for the non-MCMC
         baselines, which have no chain to multiply.
     shared_cache:
         Share one cross-process dependency-vector arena across the
@@ -352,8 +346,8 @@ def betweenness_exact(
 ) -> Dict[Vertex, float]:
     """Return exact betweenness scores (all vertices, or just the requested ones).
 
-    ``batch_size`` / ``n_jobs`` engage the sharded execution engine for the
-    per-source Brandes passes (see :mod:`repro.execution`); ``"auto"``
+    ``batch_size`` / ``n_jobs`` configure the sharded execution engine the
+    per-source Brandes passes run on (see :mod:`repro.execution`); ``"auto"``
     calibrates either knob from a timed probe (bit-identical results for
     any resolved value).  ``kernel`` selects the CSR kernel rung — numpy or
     the bit-identical numba-compiled twins — and ``kernel_threads`` the
@@ -411,7 +405,7 @@ def relative_betweenness(
 
     Runs the joint-space Metropolis-Hastings sampler of Section 4.3 and
     returns the Equation 22/23 estimates plus chain diagnostics.
-    ``batch_size`` engages the oracle's batch-prefetch of upcoming proposal
+    ``batch_size`` sets the oracle's batch-prefetch block of upcoming proposal
     sources (see :class:`~repro.mcmc.joint.JointSpaceMHSampler`; ``"auto"``
     calibrates it from a timed probe).  ``n_chains`` splits *samples* over
     that many independent joint chains run across ``n_jobs`` worker

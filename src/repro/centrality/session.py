@@ -84,15 +84,11 @@ class BetweennessSession:
         Optional :class:`~repro.execution.ExecutionPlan` fixing the
         execution knobs of every query: backend, batch size, worker count,
         multiprocessing start method.  ``None`` resolves from the
-        ``REPRO_*`` environment overrides like every estimator does; with
-        nothing set, queries run on the legacy sequential paths (the warm
-        arena and oracles still apply).
+        ``REPRO_*`` environment overrides like every estimator does (with
+        nothing set, the default plan).
     backend:
         Traversal backend of every query when *plan* is ``None`` (a plan's
-        own ``backend`` field wins otherwise).  Lets a sequential session
-        force ``"dict"`` / ``"csr"`` without engaging the execution engine
-        — an engaged plan switches the MCMC samplers onto the prefetch
-        discipline, which a backend choice alone must not do.
+        own ``backend`` field wins otherwise).
     arena_capacity:
         Rows of the persistent dependency arena (``None`` = byte-budget
         heuristic, see :func:`repro.execution.runtime.default_arena_rows`).
@@ -119,22 +115,18 @@ class BetweennessSession:
     ) -> None:
         self.graph = graph
         self.plan = resolve_plan(plan, backend=backend)
-        self.backend = self.plan.backend if self.plan is not None else backend
+        self.backend = self.plan.backend
         self.check_connected = bool(check_connected)
         self._context = ExecutionContext(
-            n_jobs=self.plan.n_jobs if self.plan is not None else None,
-            mp_context=self.plan.mp_context if self.plan is not None else None,
+            n_jobs=self.plan.n_jobs,
+            mp_context=self.plan.mp_context,
             arena_capacity=arena_capacity,
             invalidation=invalidation,
         )
         self._estimators: Dict[object, object] = {}
         self._oracles: Dict[object, object] = {}
         self._chains: List["SessionChain"] = []
-        self._plan_with_runtime: Optional[ExecutionPlan] = (
-            dataclasses.replace(self.plan, runtime=self._context)
-            if self.plan is not None
-            else None
-        )
+        self._plan_with_runtime = dataclasses.replace(self.plan, runtime=self._context)
         self._queries = 0
         self._closed = False
         if self.check_connected:
@@ -235,21 +227,15 @@ class BetweennessSession:
 
     def _knobs(self):
         """The (backend, batch_size, n_jobs) triple the cold API would use."""
-        if self.plan is None:
-            return self.backend, None, None
         return self.plan.backend, self.plan.batch_size, self.plan.n_jobs
 
     def _attach(self, sampler):
         """Point a sampler's pool work at the session's persistent context."""
-        sampler.mp_context = self.plan.mp_context if self.plan is not None else None
+        sampler.mp_context = self.plan.mp_context
         sampler.runtime = self._context
-        sampler.shared_graph = (
-            self.plan.shared_graph if self.plan is not None else None
-        )
-        sampler.kernel = self.plan.kernel if self.plan is not None else "auto"
-        sampler.kernel_threads = (
-            self.plan.kernel_threads if self.plan is not None else None
-        )
+        sampler.shared_graph = self.plan.shared_graph
+        sampler.kernel = self.plan.kernel
+        sampler.kernel_threads = self.plan.kernel_threads
         return sampler
 
     def _sampler(self, method: str):
@@ -293,18 +279,16 @@ class BetweennessSession:
             # Mirrors the cold API: the driver owns n_jobs (chains are the
             # unit of parallel work); the base keeps batch-prefetching.
             base = SINGLE_VERTEX_METHODS[method](backend, batch_size, None)
-            base.kernel = self.plan.kernel if self.plan is not None else "auto"
-            base.kernel_threads = (
-                self.plan.kernel_threads if self.plan is not None else None
-            )
+            base.kernel = self.plan.kernel
+            base.kernel_threads = self.plan.kernel_threads
             driver = MultiChainMHSampler(
                 base,
                 n_chains=n_chains if n_chains is not None else DEFAULT_CHAINS,
                 rhat_target=rhat_target,
-                n_jobs=self.plan.n_jobs if self.plan is not None else None,
-                mp_context=self.plan.mp_context if self.plan is not None else None,
+                n_jobs=self.plan.n_jobs,
+                mp_context=self.plan.mp_context,
                 runtime=self._context,
-                shared_graph=self.plan.shared_graph if self.plan is not None else None,
+                shared_graph=self.plan.shared_graph,
             )
             self._estimators[key] = driver
         return driver
@@ -327,17 +311,15 @@ class BetweennessSession:
         if driver is None:
             backend, batch_size, _ = self._knobs()
             joint_base = JointSpaceMHSampler(backend=backend, batch_size=batch_size)
-            joint_base.kernel = self.plan.kernel if self.plan is not None else "auto"
-            joint_base.kernel_threads = (
-                self.plan.kernel_threads if self.plan is not None else None
-            )
+            joint_base.kernel = self.plan.kernel
+            joint_base.kernel_threads = self.plan.kernel_threads
             driver = MultiChainJointSampler(
                 joint_base,
                 n_chains=n_chains,
-                n_jobs=self.plan.n_jobs if self.plan is not None else None,
-                mp_context=self.plan.mp_context if self.plan is not None else None,
+                n_jobs=self.plan.n_jobs,
+                mp_context=self.plan.mp_context,
                 runtime=self._context,
-                shared_graph=self.plan.shared_graph if self.plan is not None else None,
+                shared_graph=self.plan.shared_graph,
             )
             self._estimators[key] = driver
         return driver
@@ -448,16 +430,16 @@ class BetweennessSession:
     ) -> Dict[Vertex, float]:
         """Exact Brandes scores — warm twin of :func:`betweenness_exact`.
 
-        With an engaged plan the per-source passes run on the session's
-        persistent pool against the interned CSR payload (shipped once).
+        The per-source passes run on the session's persistent pool (when
+        the plan has ``n_jobs > 1``) against the interned CSR payload
+        (shipped once).
         """
         self._begin()
-        backend, batch_size, n_jobs = self._knobs()
         plan = self._plan_with_runtime
         n = self.graph.number_of_vertices()
         if vertices is None:
             scores = betweenness_centrality(
-                self.graph, normalization=normalization, backend=backend, plan=plan
+                self.graph, normalization=normalization, plan=plan
             )
             # Brandes runs one pass per source.
             self._record_passes(n)
@@ -467,7 +449,6 @@ class BetweennessSession:
                 self.graph,
                 v,
                 normalization=normalization,
-                backend=backend,
                 plan=plan,
             )
             for v in vertices
@@ -688,7 +669,7 @@ class ThreadSafeSession:
     consistent graph version and the receipts it stamps can never interleave
     with a mutation.
 
-    Serialising queries does not serialise the *work*: an engaged plan still
+    Serialising queries does not serialise the *work*: a multi-job plan still
     fans each query out over the session's persistent worker pool.  The lock
     orders queries, the pool parallelises within one.
 

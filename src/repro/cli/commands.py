@@ -50,7 +50,7 @@ from repro.centrality.api import (
 )
 from repro.centrality.session import BetweennessSession
 from repro.datasets.registry import SIZES, dataset_names, dataset_table, load_dataset
-from repro.execution import resolve_kernel_threads, resolve_plan
+from repro.execution import DEFAULT_BATCH_SIZE, resolve_kernel_threads, resolve_plan
 from repro.execution.stamp import resolve_kernel_quiet
 from repro.graphs.csr import BACKENDS, KERNELS
 from repro.errors import ReproError
@@ -253,14 +253,14 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         type=_jobs,
         default=None,
         help="worker processes for the sharded source loop, or 'auto' to "
-        "calibrate the count from a short timed probe (default: sequential)",
+        "calibrate the count from a short timed probe (default: 1, shards run inline)",
     )
     parser.add_argument(
         "--batch-size",
         type=_batch_size,
         default=None,
         help="sources per batched CSR traversal, or 'auto' to calibrate the "
-        "size from a short timed probe (default: per-source kernels)",
+        f"size from a short timed probe (default: {DEFAULT_BATCH_SIZE})",
     )
     parser.add_argument(
         "--kernel",
@@ -481,7 +481,7 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
     the first request); without one the daemon starts empty and graphs
     arrive over ``PUT /graphs/<name>``.  Auto-calibrated ``--jobs`` /
     ``--batch-size`` probes run against the preloaded graph; with no graph
-    to probe they fall back to the sequential defaults.
+    to probe they fall back to the default plan.
     """
     from repro.serving import ServingApp, ServingConfig, create_server
 

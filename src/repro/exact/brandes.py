@@ -30,24 +30,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
-from repro.execution import (
-    ExecutionPlan,
-    interned_payload,
-    merge_ordered,
-    plan_snapshot,
-    resolve_plan,
-    run_sharded,
-    split_shards,
-)
+from repro.execution import ExecutionPlan, resolve_plan
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
-from repro.shortest_paths.dependencies import (
-    accumulate_dependencies,
-    csr_source_dependencies,
-    dependency_sum_shard_csr,
-    dependency_sum_shard_dict,
-    spd_builder,
-)
+from repro.shortest_paths.dependencies import sharded_dependency_sums
 
 __all__ = ["betweenness_centrality", "normalization_factor", "NORMALIZATIONS"]
 
@@ -109,12 +94,14 @@ def betweenness_centrality(
         the flat-array CSR kernels whenever numpy is available; the two
         backends agree to floating-point accumulation order.
     batch_size, n_jobs, plan:
-        Execution-engine knobs (see :mod:`repro.execution`): when any is
-        set (or the ``REPRO_BATCH`` / ``REPRO_JOBS`` env vars are), the
-        outer source loop runs sharded — ``batch_size`` sources per batched
-        CSR traversal, shards spread over ``n_jobs`` processes, buffers
-        merged in deterministic shard order, so the result is bit-identical
-        for any ``n_jobs`` / ``batch_size``.
+        Execution-engine knobs (see :mod:`repro.execution`).  The outer
+        source loop always runs on the engine — ``batch_size`` sources per
+        batched CSR traversal (default
+        :data:`~repro.execution.plan.DEFAULT_BATCH_SIZE`, or
+        ``REPRO_BATCH``), shards spread over ``n_jobs`` processes (default
+        1, or ``REPRO_JOBS``), buffers merged in deterministic shard order
+        — so the result is bit-identical for any ``n_jobs`` /
+        ``batch_size``, the default call included.
     kernel:
         CSR kernel rung (``"auto"`` / ``"csr"`` / ``"compiled"``, see
         :func:`~repro.graphs.csr.resolve_kernel`).  The compiled rung is
@@ -134,7 +121,7 @@ def betweenness_centrality(
     factor = normalization_factor(
         graph.number_of_vertices(), normalization, directed=graph.directed
     )
-    resolved_plan = resolve_plan(
+    plan = resolve_plan(
         plan,
         backend=backend,
         batch_size=batch_size,
@@ -142,84 +129,4 @@ def betweenness_centrality(
         kernel=kernel,
         kernel_threads=kernel_threads,
     )
-    if resolved_plan is not None:
-        return _betweenness_centrality_planned(graph, factor, sources, resolved_plan)
-    if resolve_backend(backend) == "csr":
-        csr = graph.csr()
-        totals = np.zeros(csr.number_of_vertices())
-        if sources is None:
-            source_indices = range(csr.number_of_vertices())
-        else:
-            source_indices = [csr.index_of(s) for s in sources]
-        for i in source_indices:
-            # delta[i] == 0 by construction, so plain array addition matches
-            # the dict loop's "skip v == s" rule.
-            totals += csr_source_dependencies(csr, i, kernel=kernel)
-        return csr.array_to_vertex_map(totals * factor)
-    build = spd_builder(graph)
-    scores: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-    source_list = list(sources) if sources is not None else graph.vertices()
-    for s in source_list:
-        graph.validate_vertex(s)
-        spd = build(graph, s)
-        deltas = accumulate_dependencies(spd)
-        for v, delta in deltas.items():
-            if v != s:
-                scores[v] += delta
-    return {v: score * factor for v, score in scores.items()}
-
-
-def _betweenness_centrality_planned(
-    graph: Graph,
-    factor: float,
-    sources: Optional[Iterable[Vertex]],
-    plan: ExecutionPlan,
-) -> Dict[Vertex, float]:
-    """Sharded/batched Brandes: the execution-engine twin of the loops above."""
-    if resolve_backend(plan.backend) == "csr":
-        csr = plan_snapshot(graph, plan)
-        if sources is None:
-            source_indices = list(range(csr.number_of_vertices()))
-        else:
-            source_indices = [csr.index_of(s) for s in sources]
-        if not source_indices:
-            return csr.array_to_vertex_map(np.zeros(csr.number_of_vertices()))
-        totals = merge_ordered(
-            run_sharded(
-                dependency_sum_shard_csr,
-                split_shards(source_indices),
-                n_jobs=plan.n_jobs,
-                plan=plan,
-                # Interning keeps one payload object per (snapshot, batch,
-                # kernel, threads) across calls, so a persistent pool ships
-                # the CSR arrays to its workers once per session, not per
-                # request.
-                shared=interned_payload(
-                    plan,
-                    (
-                        "dep-sum-csr",
-                        id(csr),
-                        plan.batch_size,
-                        plan.kernel,
-                        plan.kernel_threads,
-                    ),
-                    lambda: (csr, plan.batch_size, plan.kernel, plan.kernel_threads),
-                ),
-            )
-        )
-        return csr.array_to_vertex_map(totals * factor)
-    source_list = list(sources) if sources is not None else graph.vertices()
-    for s in source_list:
-        graph.validate_vertex(s)
-    if not source_list:
-        return {v: 0.0 for v in graph.vertices()}
-    scores = merge_ordered(
-        run_sharded(
-            dependency_sum_shard_dict,
-            split_shards(source_list),
-            n_jobs=plan.n_jobs,
-            plan=plan,
-            shared=graph,
-        )
-    )
-    return {v: scores.get(v, 0.0) * factor for v in graph.vertices()}
+    return sharded_dependency_sums(graph, sources, plan, factor)

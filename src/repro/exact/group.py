@@ -200,59 +200,20 @@ def group_betweenness_centrality(
     The score sums, over ordered pairs (s, t) with both endpoints outside the
     group, the fraction of shortest s-t paths that touch at least one group
     member.  With ``normalized=True`` it is divided by ``|V| (|V| - 1)``.
-    ``batch_size`` / ``n_jobs`` / ``plan`` engage the sharded execution
-    engine for the outer source loop (see :mod:`repro.execution`).
+    The outer source loop runs on the sharded execution engine;
+    ``batch_size`` / ``n_jobs`` / ``plan`` configure it (see
+    :mod:`repro.execution`).
     """
     members = set(_validate_group(graph, group))
     n = graph.number_of_vertices()
-    resolved_plan = resolve_plan(plan, backend=backend, batch_size=batch_size, n_jobs=n_jobs)
-    if resolved_plan is not None:
-        total = _group_betweenness_planned(graph, members, resolved_plan)
-        if normalized and n > 1:
-            total /= n * (n - 1)
-        return total
-    if resolve_backend(backend) == "csr":
-        csr = graph.csr()
-        build = csr_spd_builder(csr)
-        member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
-        for m in members:
-            member_mask[csr.index_of(m)] = True
-        total = 0.0
-        for s in range(csr.number_of_vertices()):
-            if member_mask[s]:
-                continue
-            spd = build(csr, s)
-            avoid = _csr_avoid_counts(spd, member_mask)
-            reachable = spd.order_indices
-            keep = reachable[(reachable != s) & ~member_mask[reachable]]
-            sigma = spd.sig[keep]
-            positive = sigma > 0.0
-            through = sigma[positive] - avoid[keep][positive]
-            ratio = through / sigma[positive]
-            total += float(ratio[through > 0.0].sum())
-    else:
-        build = spd_builder(graph)
-        total = 0.0
-        for s in graph.vertices():
-            if s in members:
-                continue
-            spd = build(graph, s)
-            avoiding = _paths_through_counts(spd, members)
-            for t in spd.order:
-                if t == s or t in members:
-                    continue
-                sigma = spd.sigma[t]
-                if sigma <= 0.0:
-                    continue
-                through = sigma - avoiding.get(t, 0.0)
-                if through > 0.0:
-                    total += through / sigma
+    plan = resolve_plan(plan, backend=backend, batch_size=batch_size, n_jobs=n_jobs)
+    total = _group_betweenness_sum(graph, members, plan)
     if normalized and n > 1:
         total /= n * (n - 1)
     return total
 
 
-def _group_betweenness_planned(
+def _group_betweenness_sum(
     graph: Graph, members: Set[Vertex], plan: ExecutionPlan
 ) -> float:
     """Sharded/batched raw group-betweenness sum (pre-normalisation)."""

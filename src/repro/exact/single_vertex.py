@@ -39,8 +39,8 @@ def dependency_vector(
 ) -> Dict[Vertex, float]:
     """Return ``{v: delta_{v.}(r)}`` — the unnormalised MH target distribution of Eq. 5.
 
-    ``batch_size`` / ``n_jobs`` / ``plan`` engage the sharded execution
-    engine for the |V| Brandes passes (see :mod:`repro.execution`);
+    ``batch_size`` / ``n_jobs`` / ``plan`` configure the sharded execution
+    engine the |V| Brandes passes run on (see :mod:`repro.execution`);
     ``kernel`` selects the bit-identical CSR kernel rung and
     ``kernel_threads`` its jit-parallel thread count (result-neutral).
     """
@@ -72,8 +72,8 @@ def betweenness_of_vertex(
 
     Equivalent to ``betweenness_centrality(graph)[r]`` but phrased as the
     sum the sampling algorithms approximate, so the tests can compare both
-    routes.  ``batch_size`` / ``n_jobs`` / ``plan`` engage the execution
-    engine for the |V| dependency passes.
+    routes.  ``batch_size`` / ``n_jobs`` / ``plan`` configure the execution
+    engine the |V| dependency passes run on.
     """
     deltas = dependency_vector(
         graph,

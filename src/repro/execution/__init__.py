@@ -10,8 +10,9 @@ passes and accumulate".  This package owns *how* those passes are executed:
   :func:`~repro.execution.plan.resolve_plan` resolves them the same way
   :func:`~repro.graphs.csr.resolve_backend` resolves backends (explicit
   arguments win over the ``REPRO_JOBS`` / ``REPRO_BATCH`` environment
-  overrides; with nothing set the estimators keep their original
-  sequential code paths).
+  overrides; with nothing set it returns the default plan — one job,
+  :data:`~repro.execution.plan.DEFAULT_BATCH_SIZE` — so every estimator
+  runs on this one engine path).
 * :mod:`~repro.execution.scheduler` splits a source list into fixed-size
   shards, derives an independently-seeded child rng stream per shard, runs
   shards inline or on a multiprocessing pool, and merges per-shard buffers
@@ -54,6 +55,7 @@ from repro.execution.autotune import (
     probe_shard_sizes,
 )
 from repro.execution.plan import (
+    DEFAULT_BATCH_SIZE,
     DEFAULT_SHARD_SIZE,
     ExecutionPlan,
     resolve_kernel_threads,
@@ -101,6 +103,7 @@ __all__ = [
     "graph_snapshot",
     "plan_snapshot",
     "DEFAULT_SHARD_SIZE",
+    "DEFAULT_BATCH_SIZE",
     "DEFAULT_BATCH_CANDIDATES",
     "calibrate_batch_size",
     "probe_batch_sizes",

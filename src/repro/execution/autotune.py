@@ -182,8 +182,8 @@ def probe_n_jobs(
     Each candidate runs the real sharded pipeline —
     :func:`~repro.execution.scheduler.run_sharded` over
     :func:`~repro.shortest_paths.dependencies.dependency_sum_shard_csr` —
-    including pool spin-up, so the timings reflect exactly the cost an
-    engaged plan would pay (spin-up is how parallelism loses on small
+    including pool spin-up, so the timings reflect exactly the cost a
+    multi-job plan would pay (spin-up is how parallelism loses on small
     workloads, so it must be billed).  The scheduler's determinism contract
     makes every candidate produce the same buffer bit-for-bit; only
     wall-clock differs, so the calibrated count can never change an
@@ -246,12 +246,9 @@ def calibrate_n_jobs(
     """Return the candidate worker count whose probe sweep ran fastest.
 
     Ties go to the smaller count (fewer idle processes for the same speed).
-    This is what ``n_jobs="auto"`` resolves to at the API and CLI layers —
-    and the resolved count **always engages** the execution engine (it is a
-    concrete integer, never ``None``), because only the engine's sharded
-    discipline guarantees n_jobs-invariant results; auto-tuning the legacy
-    sequential path against the engine would let a timing pick between two
-    differently-ordered accumulations.
+    This is what ``n_jobs="auto"`` resolves to at the API and CLI layers;
+    the engine's sharded discipline guarantees n_jobs-invariant results, so
+    the timing-chosen count never changes an estimate.
     """
     timings = probe_n_jobs(
         graph,

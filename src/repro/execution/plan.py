@@ -20,30 +20,26 @@ A plan answers three independent questions for a per-source workload:
   private cache.  Consumed by the multi-chain drivers only; per-source
   workloads have nothing to share across processes beyond their inputs.
 
-Resolution mirrors the backend knob: explicit arguments always win, the
-``REPRO_JOBS`` and ``REPRO_BATCH`` environment variables fill in anything
-left unspecified (``REPRO_SHARED_CACHE`` likewise fills the
-``shared_cache`` field — but never *engages* the engine on its own, so the
-flag cannot move an estimator off its legacy path; see
-:func:`resolve_shared_cache`) (one env knob steers every call site, which is how the
-benchmark harness runs a whole suite under a given parallelism setting),
-and when *neither* an argument nor an env var asks for the execution
-engine, :func:`resolve_plan` returns ``None`` and the estimators keep their
-original sequential code paths (same loops, same rng discipline, same
-accumulation order).
+Resolution mirrors the backend knob: explicit arguments always win, and the
+``REPRO_JOBS`` / ``REPRO_BATCH`` / ``REPRO_SHARED_CACHE`` /
+``REPRO_SHARED_GRAPH`` / ``REPRO_MP_CONTEXT`` / ``REPRO_KERNEL_THREADS``
+environment variables fill in anything left unspecified (one env knob
+steers every call site, which is how the benchmark harness runs a whole
+suite under a given parallelism setting).  With nothing set,
+:func:`resolve_plan` returns the default plan — one job and
+:data:`DEFAULT_BATCH_SIZE` sources per batch — so every estimator runs on
+the one engine path whether or not a knob was given.
 
 Determinism contract
 --------------------
-Engaging the engine fixes the floating-point accumulation order once and
-for all: per-source results are accumulated sequentially in source order
-inside each fixed-size shard (shard boundaries depend only on
+The engine fixes the floating-point accumulation order once and for all:
+per-source results are accumulated sequentially in source order inside
+each fixed-size shard (shard boundaries depend only on
 :data:`DEFAULT_SHARD_SIZE`, never on ``n_jobs`` or ``batch_size``), and
 shard buffers are merged in shard order.  Together with the bit-identical
 per-row contract of the batch kernels this makes every estimate
 **bit-identical across any** ``n_jobs`` **and** ``batch_size`` for a fixed
-seed.  The engine's accumulation order may differ from the legacy
-sequential path in the last float ulp (a different association of the same
-sums), which is why the legacy path is preserved when no knob is set.
+seed — the default call included, since it is just the default plan.
 """
 
 from __future__ import annotations
@@ -64,6 +60,7 @@ __all__ = [
     "resolve_mp_context",
     "resolve_kernel_threads",
     "DEFAULT_SHARD_SIZE",
+    "DEFAULT_BATCH_SIZE",
 ]
 
 #: Number of sources per shard.  A constant (not a knob) on purpose: shard
@@ -71,6 +68,14 @@ __all__ = [
 #: with ``n_jobs`` or ``batch_size``.  256 divides evenly by every power-of-
 #: two batch size up to 256 and keeps per-shard pickling traffic small.
 DEFAULT_SHARD_SIZE = 256
+
+#: Sources per batched-kernel call when no ``batch_size`` is given.  Like
+#: the shard size a constant, not a knob: the best point of the
+#: {1, 4, 8, 16, 32, 64} curve on the cold estimate / relative / exact
+#: operations on BA(3000, 3), with and without scipy (fastest for estimate
+#: and relative, within 14% of the fastest exact).  It divides
+#: :data:`DEFAULT_SHARD_SIZE`, so default shards hold whole batches.
+DEFAULT_BATCH_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,9 @@ class ExecutionPlan:
         unresolved so each call site resolves it exactly once, next to its
         graph.
     batch_size:
-        Sources per batched-kernel call (>= 1; 1 means per-source kernels).
-        Ignored by the dict backend, which has no batch kernels.
+        Sources per batched-kernel call (>= 1; :func:`resolve_plan`
+        defaults it to :data:`DEFAULT_BATCH_SIZE`).  Ignored by the dict
+        backend, which has no batch kernels.
     n_jobs:
         Worker processes for the shard scheduler (>= 1; 1 means inline).
     shared_cache:
@@ -227,7 +233,7 @@ def resolve_plan(
     runtime: Optional[object] = None,
     kernel: str = "auto",
     kernel_threads: Optional[int] = None,
-) -> Optional[ExecutionPlan]:
+) -> ExecutionPlan:
     """Resolve the execution knobs of one estimator call.
 
     Parameters
@@ -235,54 +241,37 @@ def resolve_plan(
     plan:
         A ready-made :class:`ExecutionPlan`; returned as-is when provided
         (it always wins, like an explicit backend argument).
-    backend, batch_size, n_jobs, shared_cache:
-        The estimator's individual knobs.  ``None`` for ``batch_size`` /
-        ``n_jobs`` / ``shared_cache`` means "not requested", in which case
-        the ``REPRO_BATCH`` / ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE``
-        environment variables are consulted.
-    kernel:
-        CSR kernel rung, carried into the plan like ``backend``: left
-        unresolved here (``REPRO_KERNEL`` is honoured by
-        :func:`~repro.graphs.csr.resolve_kernel` at each point of use) and
-        — like ``shared_cache`` — never engages the engine by itself, since
-        the rungs are bit-identical and the legacy sequential paths resolve
-        the same knob on their own.
-    kernel_threads:
-        Compiled-kernel thread count; ``None`` consults
-        ``REPRO_KERNEL_THREADS`` (:func:`resolve_kernel_threads`).  Like
-        ``kernel`` it never engages the engine by itself — it is
-        result-neutral, so it only fills the field of a plan the other
-        knobs engaged.
+    backend, kernel:
+        Carried into the plan unresolved; each call site resolves them
+        next to its graph (``REPRO_BACKEND`` / ``REPRO_KERNEL`` are honoured
+        there).
+    batch_size, n_jobs, shared_cache, shared_graph, mp_context, kernel_threads:
+        ``None`` means "not requested": the ``REPRO_BATCH`` /
+        ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` / ``REPRO_SHARED_GRAPH`` /
+        ``REPRO_MP_CONTEXT`` / ``REPRO_KERNEL_THREADS`` environment
+        variable fills the field, else its default
+        (:data:`DEFAULT_BATCH_SIZE`, one job, off, off, the interpreter's
+        start method, one thread).
+    runtime:
+        Optional persistent :class:`~repro.execution.runtime.ExecutionContext`.
 
     Returns
     -------
-    ExecutionPlan or None
-        ``None`` when neither an argument nor an env var engages the
-        execution engine — the caller should then take its original
-        sequential code path, whose behaviour (including float accumulation
-        order and rng stream) is preserved exactly.
+    ExecutionPlan
+        Always a plan: with nothing set it is the default plan, so the
+        default call runs on the same engine path — and under the same
+        determinism contract — as any explicit one.
     """
-    if plan is not None:
+    if isinstance(plan, ExecutionPlan):
         return plan
     if batch_size is None:
-        batch_size = _env_int("REPRO_BATCH")
+        batch_size = _env_int("REPRO_BATCH") or DEFAULT_BATCH_SIZE
     if n_jobs is None:
-        n_jobs = _env_int("REPRO_JOBS")
-    # shared_cache / shared_graph / mp_context / runtime / kernel_threads
-    # deliberately do NOT engage the engine: an engaged plan switches
-    # estimators onto the sharded/prefetch disciplines (different rng
-    # consumption, different — though equally valid — estimates), and all
-    # five knobs are documented to never change a result.  They only fill
-    # the fields of a plan the other knobs engaged; standalone consumers
-    # (the multi-chain drivers) read them through resolve_shared_cache() /
-    # resolve_shared_graph() / resolve_mp_context() /
-    # resolve_kernel_threads().
-    if batch_size is None and n_jobs is None:
-        return None
+        n_jobs = _env_int("REPRO_JOBS") or 1
     return ExecutionPlan(
         backend=backend,
-        batch_size=batch_size if batch_size is not None else 1,
-        n_jobs=n_jobs if n_jobs is not None else 1,
+        batch_size=batch_size,
+        n_jobs=n_jobs,
         shared_cache=resolve_shared_cache(shared_cache),
         shared_graph=resolve_shared_graph(shared_graph),
         mp_context=resolve_mp_context(mp_context),
@@ -296,11 +285,7 @@ def resolve_shared_cache(shared_cache: Optional[bool] = None) -> bool:
     """Resolve the ``shared_cache`` knob on its own.
 
     Explicit ``True`` / ``False`` wins; ``None`` consults the
-    ``REPRO_SHARED_CACHE`` environment override (unset means off).  Kept
-    separate from :func:`resolve_plan` engagement so the flag can never
-    flip an estimator off its legacy sequential code path — it selects a
-    cache-sharing policy for runs that already parallelise, not an
-    execution discipline.
+    ``REPRO_SHARED_CACHE`` environment override (unset means off).
     """
     if shared_cache is not None:
         return shared_cache
@@ -311,11 +296,7 @@ def resolve_shared_graph(shared_graph: Optional[bool] = None) -> bool:
     """Resolve the ``shared_graph`` knob on its own.
 
     Explicit ``True`` / ``False`` wins; ``None`` consults the
-    ``REPRO_SHARED_GRAPH`` environment override (unset means off).  Like
-    ``shared_cache`` this never engages the execution engine by itself: it
-    selects how CSR snapshots travel to workers that already exist, never
-    whether an estimator parallelises — so the flag can never move an
-    estimator off its legacy sequential code path.
+    ``REPRO_SHARED_GRAPH`` environment override (unset means off).
     """
     if shared_graph is not None:
         return shared_graph
@@ -326,14 +307,12 @@ def resolve_kernel_threads(kernel_threads: Optional[int] = None) -> int:
     """Resolve the compiled-kernel thread-count knob on its own.
 
     An explicit positive integer wins; ``None`` consults the
-    ``REPRO_KERNEL_THREADS`` environment override (unset means 1 —
-    today's sequential kernels).  Like ``shared_cache`` this never
-    engages the execution engine by itself: the knob is result-neutral
-    (threads stride independent per-source rows of the compiled batch
-    kernels), so it only selects how fast batches already running on the
-    compiled rung finish.  ``"auto"`` calibration lives at the API/CLI
-    boundary (:func:`repro.execution.autotune.calibrate_kernel_threads`),
-    not here — resolution must stay cheap and deterministic.
+    ``REPRO_KERNEL_THREADS`` environment override (unset means 1 — the
+    sequential kernels).  The knob is result-neutral: threads stride
+    independent per-source rows of the compiled batch kernels.  ``"auto"``
+    calibration lives at the API/CLI boundary
+    (:func:`repro.execution.autotune.calibrate_kernel_threads`), not here —
+    resolution must stay cheap and deterministic.
     """
     if kernel_threads is None:
         resolved = _env_int("REPRO_KERNEL_THREADS")
@@ -349,10 +328,8 @@ def resolve_mp_context(mp_context: Optional[str] = None) -> Optional[str]:
     """Resolve the multiprocessing start-method knob on its own.
 
     An explicit name wins; ``None`` consults the ``REPRO_MP_CONTEXT``
-    environment override (unset means the interpreter default).  Like
-    ``shared_cache`` this never engages the execution engine by itself —
-    it configures *how* pools that already exist are started, which is why
-    the scheduler and :func:`~repro.execution.shared_cache.create_shared_store`
+    environment override (unset means the interpreter default).  The
+    scheduler and :func:`~repro.execution.shared_cache.create_shared_store`
     both accept the resolved value (spawn deployments must configure the
     two consistently: a fork-context lock cannot enter a spawn-context
     process).

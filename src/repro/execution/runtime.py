@@ -406,8 +406,7 @@ class ExecutionContext:
     ) -> None:
         from repro.incremental import resolve_invalidation
 
-        plan = resolve_plan(None, n_jobs=n_jobs)
-        self.n_jobs = plan.n_jobs if plan is not None else 1
+        self.n_jobs = resolve_plan(None, n_jobs=n_jobs).n_jobs
         self.mp_context = resolve_mp_context(mp_context)
         #: How graph mutations are consumed: ``"delta"`` reads the change
         #: journal and retains unaffected arena rows, ``"full"`` keeps the
@@ -872,11 +871,8 @@ def plan_snapshot(graph: Graph, plan):
 
     The :class:`~repro.execution.plan.ExecutionPlan` flavour of
     :func:`graph_snapshot`: reads the plan's ``shared_graph`` knob and
-    ``runtime`` field (``plan=None`` — the sequential path — always means
-    the plain cached snapshot).
+    ``runtime`` field (``plan=None`` means the plain cached snapshot).
     """
-    if plan is None:
-        return graph.csr()
     return graph_snapshot(
         graph,
         shared_graph=getattr(plan, "shared_graph", False),
@@ -893,7 +889,7 @@ def interned_payload(plan, key, factory: Callable[[], Any]):
     memoizes by *key* so repeated requests hand the persistent pool the
     same object and the snapshot ships to the workers once.
     """
-    runtime = getattr(plan, "runtime", None) if plan is not None else None
+    runtime = getattr(plan, "runtime", None)
     if runtime is None:
         return factory()
     return runtime.cached_payload(key, factory)

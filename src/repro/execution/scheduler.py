@@ -165,11 +165,10 @@ def run_sharded(
     restricted containers), the scheduler falls back to the inline path with
     a warning — results are identical by construction, only slower.
     """
-    if plan is not None:
-        if mp_context is None:
-            mp_context = getattr(plan, "mp_context", None)
-        if runtime is None:
-            runtime = getattr(plan, "runtime", None)
+    if mp_context is None:
+        mp_context = getattr(plan, "mp_context", None)
+    if runtime is None:
+        runtime = getattr(plan, "runtime", None)
     if n_jobs <= 1 or len(shards) <= 1:
         return [fn(shared, shard) for shard in shards]
     if runtime is not None:

@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 #: The keys of every execution stamp, in emission order.  Null values are
-#: meaningful — ``jobs`` / ``batch_size`` null means the execution engine
-#: was not engaged, ``chains`` / ``rhat`` / ``ess`` null means the
+#: meaningful — ``jobs`` / ``batch_size`` null means the estimator reported
+#: no execution plan, ``chains`` / ``rhat`` / ``ess`` null means the
 #: multi-chain driver did not run — so every surface emits all of them.
 EXECUTION_STAMP_KEYS = (
     "backend",

@@ -28,13 +28,10 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import ConfigurationError
+from repro.execution.plan import DEFAULT_BATCH_SIZE
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import resolve_backend
-from repro.shortest_paths.dependencies import (
-    accumulate_dependencies,
-    csr_source_dependencies,
-    spd_builder,
-)
+from repro.shortest_paths.dependencies import accumulate_dependencies, spd_builder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.execution.shared_cache import SharedDependencyStore
@@ -59,17 +56,14 @@ class DependencyOracle:
         ``"auto"`` (default), ``"dict"`` or ``"csr"``; see
         :func:`repro.graphs.csr.resolve_backend`.
     batch_size:
-        ``None`` (default) keeps the original per-source evaluation path
-        everywhere.  An ``int >= 1`` switches the oracle to the batched
-        kernels of :mod:`repro.shortest_paths.batch` for **both**
-        :meth:`prefetch` blocks (that many sources per traversal) and
-        point-query misses (a K=1 batch) — the batch paths compute every
+        Sources per batched traversal of :meth:`prefetch` blocks (``None``
+        = :data:`~repro.execution.plan.DEFAULT_BATCH_SIZE`).  CSR vectors
+        always come from the batched kernels of
+        :mod:`repro.shortest_paths.batch` — prefetch blocks and point-query
+        misses (a K=1 batch) alike — and the batch paths compute every
         column independently, so a vector is bit-identical whether it was
         prefetched or recomputed after eviction, which is what keeps a
-        chain's estimate independent of the batch size.  (The batch paths
-        may differ from the ``None`` path in the last ulp when scipy's
-        sparse-matmul sweep is active, which is why ``None`` remains the
-        default: legacy callers keep their exact pre-engine values.)
+        chain's estimate independent of the batch size.
     shared_store:
         Optional cross-process
         :class:`~repro.execution.shared_cache.SharedDependencyStore`.  When
@@ -119,7 +113,9 @@ class DependencyOracle:
         self._shared = shared_store
         self._cache: "OrderedDict[Vertex, object]" = OrderedDict()
         self._cache_size = cache_size
-        self._batch_size = None if batch_size is None else max(int(batch_size), 1)
+        self._batch_size = (
+            DEFAULT_BATCH_SIZE if batch_size is None else max(int(batch_size), 1)
+        )
         self.evaluations = 0  #: number of Brandes passes actually performed
         self.lookups = 0  #: number of dependency queries answered
         #: Brandes passes performed by :meth:`prefetch` (a subset of
@@ -213,7 +209,7 @@ class DependencyOracle:
             missing = pending
             if not missing:
                 return 0
-        if self._backend == "csr" and self._batch_size is not None:
+        if self._backend == "csr":
             from repro.shortest_paths.batch import batch_source_dependencies
             from repro.shortest_paths.dependencies import iter_batches
 
@@ -225,14 +221,6 @@ class DependencyOracle:
                 for row, s in enumerate(chunk):
                     # Copy the row so the (K, n) batch matrix can be freed.
                     self._publish_and_store(s, deltas[row].copy())
-        elif self._backend == "csr":
-            # Not batch-configured: warm the cache with the same point
-            # kernel `_raw_vector` uses, so a vector never depends on
-            # whether it was prefetched or recomputed after eviction.
-            for s in missing:
-                self._publish_and_store(
-                    s, csr_source_dependencies(self._csr, self._csr.index_of(s))
-                )
         else:
             for s in missing:
                 self._store(s, accumulate_dependencies(self._build(self._graph, s)))
@@ -273,19 +261,13 @@ class DependencyOracle:
                 return row
         self.evaluations += 1
         if self._backend == "csr":
-            if self._batch_size is not None:
-                # Batch-configured oracle: a K=1 batch, so a recomputed
-                # vector is bit-identical to its prefetched twin (batch
-                # columns are composition-independent).
-                from repro.shortest_paths.batch import batch_source_dependencies
+            # A K=1 batch, so a recomputed vector is bit-identical to its
+            # prefetched twin (batch columns are composition-independent).
+            from repro.shortest_paths.batch import batch_source_dependencies
 
-                vector: object = batch_source_dependencies(
-                    self._csr, [self._csr.index_of(source)]
-                )[0].copy()
-            else:
-                vector = csr_source_dependencies(
-                    self._csr, self._csr.index_of(source)
-                )
+            vector: object = batch_source_dependencies(
+                self._csr, [self._csr.index_of(source)]
+            )[0].copy()
         else:
             spd = self._build(self._graph, source)
             vector = accumulate_dependencies(spd)

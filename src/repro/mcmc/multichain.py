@@ -31,8 +31,8 @@ another process — so a chain never depends on which worker ran it or on
 what shared a cache with it.  Per-chain results are merged strictly in
 chain order.  Together this makes every pooled estimate **bit-identical for
 any** ``n_jobs`` at a fixed seed, and a ``K = 1`` driver runs the parent
-stream itself (no spawn), reproducing the legacy sequential sampler's
-estimate bit for bit.
+stream itself (no spawn), reproducing the single-chain sampler's estimate
+bit for bit.
 
 ``n_jobs`` belongs to the *driver* (how many worker processes the chains
 are spread over); the base sampler's own ``n_jobs`` stays unset so a
@@ -66,12 +66,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro._rng import RandomState, ensure_rng, spawn_rng
 from repro.errors import ConfigurationError, EdgeNotFoundError, SamplingError
 from repro.execution import (
+    ExecutionPlan,
     create_shared_store,
     graph_snapshot,
     resolve_mp_context,
     resolve_plan,
-    resolve_shared_cache,
-    resolve_shared_graph,
     run_sharded,
 )
 from repro.graphs.core import Graph, Vertex
@@ -320,29 +319,19 @@ class _MultiChainBase:
             )
         return base
 
-    def _resolved_jobs(self) -> int:
-        """Worker processes for the chain scheduler (``REPRO_JOBS`` honoured)."""
-        plan = resolve_plan(None, n_jobs=self.n_jobs)
-        return plan.n_jobs if plan is not None else 1
+    def _driver_plan(self) -> ExecutionPlan:
+        """The driver's own knobs — jobs, start method, arena, snapshot shipping.
 
-    def _resolved_mp_context(self) -> Optional[str]:
-        """Pool start method (explicit knob, else ``REPRO_MP_CONTEXT``)."""
-        return resolve_mp_context(self.mp_context)
-
-    def _resolved_shared_cache(self) -> bool:
-        """Whether this run shares one dependency arena across its workers.
-
-        The explicit ``shared_cache`` argument wins; ``None`` consults the
-        ``REPRO_SHARED_CACHE`` environment override.  Resolved standalone
-        (:func:`repro.execution.resolve_shared_cache`) rather than through
-        plan engagement: the cache knob must never switch anything onto an
-        engine code path by itself.
+        Unset knobs are filled from ``REPRO_JOBS`` / ``REPRO_MP_CONTEXT`` /
+        ``REPRO_SHARED_CACHE`` / ``REPRO_SHARED_GRAPH``.
         """
-        return resolve_shared_cache(self.shared_cache)
-
-    def _resolved_shared_graph(self) -> bool:
-        """Whether snapshots ship as shared-memory handles (env override honoured)."""
-        return resolve_shared_graph(self.shared_graph)
+        return resolve_plan(
+            None,
+            n_jobs=self.n_jobs,
+            mp_context=self.mp_context,
+            shared_cache=self.shared_cache,
+            shared_graph=self.shared_graph,
+        )
 
     def _graph_snapshot(self, graph: Graph):
         """The CSR snapshot shipped explicitly in the worker payload, if any.
@@ -358,7 +347,7 @@ class _MultiChainBase:
             return None
         return graph_snapshot(
             graph,
-            shared_graph=self._resolved_shared_graph(),
+            shared_graph=self._driver_plan().shared_graph,
             runtime=self.runtime,
         )
 
@@ -374,7 +363,7 @@ class _MultiChainBase:
         never overflow (a caller-provided ``shared_cache_capacity`` may be
         smaller; overflow is then handled by the store refusing new rows).
         """
-        if not self._resolved_shared_cache():
+        if not self._driver_plan().shared_cache:
             return None
         if resolve_backend(self.base.backend) != "csr":
             warnings.warn(
@@ -388,7 +377,7 @@ class _MultiChainBase:
         capacity = self.shared_cache_capacity
         if capacity is None:
             capacity = max(min(n, num_samples + self.n_chains), 1)
-        mp_context = self._resolved_mp_context()
+        mp_context = self._driver_plan().mp_context
         if mp_context is None:
             return create_shared_store(n, capacity)
         # A configured start method must govern the arena's lock too: a
@@ -453,7 +442,7 @@ class _MultiChainBase:
         """One stream per chain; ``K = 1`` keeps the parent stream itself.
 
         Keeping the parent for a single chain is what makes the degenerate
-        driver bit-identical to the legacy sequential sampler — it consumes
+        driver bit-identical to the single-chain sampler — it consumes
         the caller's stream exactly as a direct ``run_chain`` call would.
         """
         if self.n_chains == 1:
@@ -468,7 +457,7 @@ class _MultiChainBase:
             shards,
             n_jobs=jobs,
             shared=payload,
-            mp_context=self._resolved_mp_context(),
+            mp_context=self._driver_plan().mp_context,
             runtime=self.runtime,
         )
         chains = list(chains)
@@ -663,7 +652,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         """The scheduling body of :meth:`run_chains` (store lifecycle handled there)."""
         snapshot = self._graph_snapshot(graph)
         payload = self._chain_payload("single", graph, self.base, store, snapshot)
-        jobs = self._resolved_jobs()
+        jobs = self._driver_plan().n_jobs
         chains: List[Optional[ChainResult]] = [None] * self.n_chains
         evaluations = 0
         if self.rhat_target is None:
@@ -748,7 +737,8 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
             "burn_in": diag.burn_in,
             "backend": resolve_backend(self.base.backend),
             "n_chains": self.n_chains,
-            "n_jobs": self._resolved_jobs(),
+            "n_jobs": self._driver_plan().n_jobs,
+            "batch_size": self.base._plan().batch_size,
             "rhat_target": self.rhat_target,
             "converged": diag.converged,
             "rounds": diag.rounds,
@@ -758,9 +748,6 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         }
         if self.n_chains == 1:
             diagnostics["chain"] = result.chains[0]
-        plan = self.base._plan()
-        if plan is not None:
-            diagnostics["batch_size"] = plan.batch_size
         return SingleEstimate(
             vertex=r,
             estimate=value,
@@ -871,7 +858,7 @@ class MultiChainJointSampler(_MultiChainBase):
             )
             tasks = [(i, rngs[i], budgets[i], members) for i in range(self.n_chains)]
             chains, _, evaluations = self._run_round(
-                payload, tasks, _run_fixed_shard, self._resolved_jobs(),
+                payload, tasks, _run_fixed_shard, self._driver_plan().n_jobs,
                 [None] * self.n_chains, rngs,
             )
             if store is not None:
@@ -910,7 +897,8 @@ class MultiChainJointSampler(_MultiChainBase):
         diagnostics: Dict[str, object] = {
             "backend": resolve_backend(self.base.backend),
             "n_chains": self.n_chains,
-            "n_jobs": self._resolved_jobs(),
+            "n_jobs": self._driver_plan().n_jobs,
+            "batch_size": self.base._plan().batch_size,
             "rhat": split_rhat(traces),
             "ess": multichain_ess(traces),
             "acceptance_rates": acceptance_rates,
@@ -918,9 +906,6 @@ class MultiChainJointSampler(_MultiChainBase):
             "shared_cache": self._shared_cache_stats is not None,
             "shared_cache_stats": self._shared_cache_stats,
         }
-        plan = self.base._plan()
-        if plan is not None:
-            diagnostics["batch_size"] = plan.batch_size
         return RelativeBetweennessEstimate(
             reference_set=merged.reference_set,
             relative=relative,
@@ -1012,7 +997,7 @@ class MultiChainEdgeSampler(_MultiChainBase):
             )
         tasks = [(i, rngs[i], budgets[i], (a, b)) for i in range(self.n_chains)]
         chains, _, evaluations = self._run_round(
-            payload, tasks, _run_fixed_shard, self._resolved_jobs(),
+            payload, tasks, _run_fixed_shard, self._driver_plan().n_jobs,
             [None] * self.n_chains, rngs,
         )
         return list(chains), evaluations
@@ -1054,7 +1039,7 @@ class MultiChainEdgeSampler(_MultiChainBase):
                 "estimator": self.base.estimator,
                 "backend": resolve_backend(self.base.backend),
                 "n_chains": self.n_chains,
-                "n_jobs": self._resolved_jobs(),
+                "n_jobs": self._driver_plan().n_jobs,
                 "evaluations": evaluations,
             },
         )

@@ -248,19 +248,16 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         self.backend = backend
         #: Execution-engine knobs (:mod:`repro.execution`).  A Markov chain
         #: is inherently sequential, so ``n_jobs`` is accepted for interface
-        #: uniformity and unused.  ``batch_size`` engages the
-        #: **batch-prefetch** discipline for the independence proposals
-        #: (``"uniform"`` / ``"degree"``), whose candidate sequence does not
-        #: depend on the chain state: the whole sequence is drawn upfront
-        #: from a child rng stream and the oracle batch-computes upcoming
-        #: dependency vectors ``batch_size`` sources per traversal.  The
-        #: per-vector values are bit-identical however they are batched, so
-        #: for a fixed seed the chain (and estimate) is the same for any
-        #: ``batch_size`` and ``n_jobs`` — though not the same chain the
-        #: sequential discipline walks, which is why the legacy behaviour is
-        #: kept when no knob is set.  The state-dependent ``"random-walk"``
-        #: proposal cannot know its candidates ahead of time and ignores the
-        #: engine.
+        #: uniformity and unused.  The independence proposals (``"uniform"``
+        #: / ``"degree"``), whose candidate sequence does not depend on the
+        #: chain state, run the **batch-prefetch** discipline: the whole
+        #: sequence is drawn upfront from a child rng stream and the oracle
+        #: batch-computes upcoming dependency vectors ``batch_size`` sources
+        #: per traversal.  The per-vector values are bit-identical however
+        #: they are batched, so for a fixed seed the chain (and estimate) is
+        #: the same for any ``batch_size`` and ``n_jobs``.  The
+        #: state-dependent ``"random-walk"`` proposal cannot know its
+        #: candidates ahead of time and draws one per step.
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
@@ -306,13 +303,16 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
 
     def _draw_proposals(
         self, graph: Graph, vertices: Sequence[Vertex], rng, count: int
-    ) -> List[Vertex]:
+    ) -> Optional[List[Vertex]]:
         """Pre-draw *count* independence-proposal candidates from a child stream.
 
         Spawning the child advances *rng* by exactly one spawn regardless of
         *count*, so the main stream (initial draw, acceptance draws) is
-        unaffected by how many proposals are drawn upfront.
+        unaffected by how many proposals are drawn upfront.  ``None`` for
+        the state-dependent random-walk proposal, which draws per step.
         """
+        if self.proposal == "random-walk":
+            return None
         proposal_rng = spawn_rng(rng, 0)
         if self.proposal == "uniform":
             return [
@@ -339,12 +339,11 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         the default for every direct use of this sampler — keeps the oracle
         fully private.
         """
-        plan = self._plan()
         return DependencyOracle(
             graph,
             cache_size=self.cache_size,
             backend=self.backend,
-            batch_size=plan.batch_size if plan is not None else None,
+            batch_size=self._plan().batch_size,
             shared_store=shared_store,
         )
 
@@ -384,20 +383,17 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             raise ConfigurationError("burn_in must be smaller than the chain length")
         rng = ensure_rng(seed)
         plan = self._plan()
-        prefetching = plan is not None and self.proposal in ("uniform", "degree")
         if oracle is None:
             oracle = self.build_oracle(graph)
         vertices = graph.vertices()
         if len(vertices) < 2:
             raise SamplingError("the graph must contain at least two vertices")
 
-        proposals: Optional[List[Vertex]] = None
-        if prefetching:
-            # Independence proposals don't depend on the chain state, so the
-            # whole candidate sequence can be drawn upfront from a child
-            # stream (the main stream keeps the initial draw and the
-            # acceptance draws) and handed to the oracle in blocks.
-            proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
+        # Independence proposals don't depend on the chain state, so the
+        # whole candidate sequence is drawn upfront from a child stream (the
+        # main stream keeps the initial draw and the acceptance draws) and
+        # handed to the oracle in blocks.
+        proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
 
         evaluations_before = oracle.evaluations
         if initial_state is None:
@@ -416,9 +412,8 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
                 proposal_dependency=current_delta,
             )
         ]
-        prefetch_block = plan.batch_size if plan is not None else 1
         self._iterate(
-            graph, r, oracle, rng, vertices, states, num_iterations, proposals, prefetch_block
+            graph, r, oracle, rng, vertices, states, num_iterations, proposals, plan.batch_size
         )
         if not self.record_states:
             # Memory-lean mode: keep only the fields the estimate needs by
@@ -507,8 +502,8 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         segments, and between segments only ``(rng, last state)`` matter —
         the dependency scores the oracle returns are deterministic, so the
         continuation is bit-identical whether the oracle is the original
-        instance, a rebuilt one in another process, or freshly empty.  When
-        the engine is engaged the continuation spawns a new proposal child
+        instance, a rebuilt one in another process, or freshly empty.  With an
+        independence proposal the continuation spawns a new proposal child
         stream from *rng* per segment (mirroring :meth:`run_chain`), so a
         segmented chain is a valid Metropolis-Hastings chain but *not* the
         same trajectory a single unsegmented run walks.
@@ -528,19 +523,13 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
                 "the vertex identities that seed the continuation"
             )
         rng = ensure_rng(rng)
-        plan = self._plan()
-        prefetching = plan is not None and self.proposal in ("uniform", "degree")
         if oracle is None:
             oracle = self.build_oracle(graph)
         vertices = graph.vertices()
-        proposals = (
-            self._draw_proposals(graph, vertices, rng, num_iterations)
-            if prefetching
-            else None
-        )
+        proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
         states = list(chain.states)
-        prefetch_block = plan.batch_size if plan is not None else 1
         evaluations_before = oracle.evaluations
+        prefetch_block = self._plan().batch_size
         self._iterate(
             graph, r, oracle, rng, vertices, states, num_iterations, proposals, prefetch_block
         )
@@ -605,6 +594,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
                 initial_state=initial_state,
             )
             value = chain.estimate(self.estimator)
+        plan = self._plan()
         diagnostics = {
             "acceptance_rate": chain.acceptance_rate(),
             "evaluations": chain.evaluations,
@@ -613,10 +603,9 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             "burn_in": self.burn_in,
             "backend": resolve_backend(self.backend),
             "chain": chain,
+            "n_jobs": plan.n_jobs,
+            "batch_size": plan.batch_size,
         }
-        plan = self._plan()
-        if plan is not None:
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
         return SingleEstimate(
             vertex=r,
             estimate=value,

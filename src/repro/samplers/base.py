@@ -33,10 +33,9 @@ class ExecutionPlanMixin:
 
     Estimators that accept the engine knobs store them as ``self.backend``
     / ``self.batch_size`` / ``self.n_jobs`` in their constructors (the
-    per-class API surface) and call :meth:`_plan` once per estimate; a
-    ``None`` plan means "no knob set" and the estimator must take its
-    original sequential path.  Centralised here so a change to plan
-    resolution (a new env knob, say) lands in every sampler at once.
+    per-class API surface) and call :meth:`_plan` once per estimate (with
+    no knob set it is the default plan).  Centralised here so a change to
+    plan resolution (a new env knob, say) lands in every sampler at once.
 
     ``mp_context``, ``runtime``, ``shared_graph``, ``kernel`` and
     ``kernel_threads`` are class-level defaults rather than constructor
@@ -61,7 +60,7 @@ class ExecutionPlanMixin:
     kernel: str = "auto"
     kernel_threads: Optional[int] = None
 
-    def _plan(self) -> Optional[ExecutionPlan]:
+    def _plan(self) -> ExecutionPlan:
         return resolve_plan(
             None,
             backend=self.backend,

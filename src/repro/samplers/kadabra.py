@@ -79,12 +79,11 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         self.backend = backend
         #: Execution-engine knobs, with the same semantics as the RK
         #: sampler: ``n_jobs`` shards the sample loop with per-shard child
-        #: rng streams (results identical for any ``n_jobs``, but a
-        #: different stream than the sequential path); ``batch_size`` is
-        #: accepted for uniformity and unused (per-sample rng interleaving).
-        #: The adaptive stopping rule is a sequential decision over the
-        #: global sample stream, so :meth:`estimate` ignores the engine when
-        #: ``adaptive=True``.
+        #: rng streams (results identical for any ``n_jobs``); ``batch_size``
+        #: is accepted for uniformity and unused (per-sample rng
+        #: interleaving).  The adaptive stopping rule is a sequential
+        #: decision over the global sample stream, so :meth:`estimate` runs
+        #: one inline loop when ``adaptive=True``.
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
@@ -235,75 +234,57 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
             raise ConfigurationError("the graph must have at least two vertices")
         rng = ensure_rng(seed)
         touched_total = 0
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        diagnostics: Dict[str, object] = {"backend": backend}
-        if plan is not None:
-            with timed() as clock:
-                shards = sample_shards(num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    results = run_sharded(
-                        _kadabra_all_shard_csr,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("kadabra-all-csr", id(self), id(csr)),
-                            lambda: (self, csr),
-                        ),
-                    )
-                    buffer = np.zeros(csr.number_of_vertices())
-                    for shard_buffer, shard_touched in results:
-                        buffer += shard_buffer
-                        touched_total += shard_touched
-                    estimates = vertex_keyed(csr, buffer / num_samples)
-                else:
-                    results = run_sharded(
-                        _kadabra_all_shard_dict,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("kadabra-all-dict", id(self), id(graph), graph.version),
-                            lambda: (self, graph),
-                        ),
-                    )
-                    counts = {v: 0.0 for v in graph.vertices()}
-                    for shard_counts, shard_touched in results:
-                        touched_total += shard_touched
-                        for v, c in shard_counts.items():
-                            counts[v] += c
-                    estimates = {v: c / num_samples for v, c in counts.items()}
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        elif backend == "csr":
-            with timed() as clock:
-                csr = graph.csr()
+        backend = resolve_backend(plan.backend)
+        with timed() as clock:
+            shards = sample_shards(num_samples, rng)
+            if backend == "csr":
+                csr = plan_snapshot(graph, plan)
+                results = run_sharded(
+                    _kadabra_all_shard_csr,
+                    shards,
+                    n_jobs=plan.n_jobs,
+                    plan=plan,
+                    shared=interned_payload(
+                        plan,
+                        ("kadabra-all-csr", id(self), id(csr)),
+                        lambda: (self, csr),
+                    ),
+                )
                 buffer = np.zeros(csr.number_of_vertices())
-                for _ in range(num_samples):
-                    interior, touched = self._sample_path_interior_csr(csr, rng)
-                    touched_total += touched
-                    for i in interior:
-                        buffer[i] += 1.0
-            estimates = vertex_keyed(csr, buffer / num_samples)
-        else:
-            counts: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-            with timed() as clock:
-                for _ in range(num_samples):
-                    interior, touched = self._sample_path_interior(graph, rng)
-                    touched_total += touched
-                    for v in interior:
-                        counts[v] += 1.0
-            estimates = {v: c / num_samples for v, c in counts.items()}
-        diagnostics["touched_edges"] = touched_total
+                for shard_buffer, shard_touched in results:
+                    buffer += shard_buffer
+                    touched_total += shard_touched
+                estimates = vertex_keyed(csr, buffer / num_samples)
+            else:
+                results = run_sharded(
+                    _kadabra_all_shard_dict,
+                    shards,
+                    n_jobs=plan.n_jobs,
+                    plan=plan,
+                    shared=interned_payload(
+                        plan,
+                        ("kadabra-all-dict", id(self), id(graph), graph.version),
+                        lambda: (self, graph),
+                    ),
+                )
+                counts = {v: 0.0 for v in graph.vertices()}
+                for shard_counts, shard_touched in results:
+                    touched_total += shard_touched
+                    for v, c in shard_counts.items():
+                        counts[v] += c
+                estimates = {v: c / num_samples for v, c in counts.items()}
         return MapEstimate(
             estimates=estimates,
             samples=num_samples,
             elapsed_seconds=clock.elapsed,
             method=self.name,
-            diagnostics=diagnostics,
+            diagnostics={
+                "backend": backend,
+                "n_jobs": plan.n_jobs,
+                "batch_size": plan.batch_size,
+                "touched_edges": touched_total,
+            },
         )
 
     # ------------------------------------------------------------------
@@ -323,9 +304,9 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         hits = 0.0
         drawn = 0
         touched_total = 0
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        if plan is not None and not self.adaptive:
+        backend = resolve_backend(plan.backend)
+        if not self.adaptive:
             with timed() as clock:
                 shards = sample_shards(num_samples, rng)
                 if backend == "csr":
@@ -356,11 +337,10 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
                 for shard_hits, shard_touched in results:
                     hits += shard_hits
                     touched_total += shard_touched
-                drawn = num_samples
             return SingleEstimate(
                 vertex=r,
-                estimate=hits / drawn,
-                samples=drawn,
+                estimate=hits / num_samples,
+                samples=num_samples,
                 elapsed_seconds=clock.elapsed,
                 method=self.name,
                 diagnostics={
@@ -372,6 +352,7 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
                     "batch_size": plan.batch_size,
                 },
             )
+        # Adaptive stopping is a sequential decision over the global stream.
         with timed() as clock:
             csr = graph.csr() if backend == "csr" else None
             r_index = csr.index_of(r) if csr is not None else None
@@ -386,7 +367,7 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
                 if hit:
                     hits += 1.0
                 drawn = i
-                if self.adaptive and i >= 30 and self._bernstein_radius(hits, i) <= self.epsilon:
+                if i >= 30 and self._bernstein_radius(hits, i) <= self.epsilon:
                     break
         return SingleEstimate(
             vertex=r,

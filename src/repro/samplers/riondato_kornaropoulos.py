@@ -110,12 +110,10 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         #: worker processes: samples are cut into fixed shards, each shard
         #: drawing from its own child rng stream
         #: (:func:`repro.execution.shard_rngs`), so the estimate is
-        #: identical for any ``n_jobs`` — but, unlike the dependency-pass
-        #: samplers, engaging the engine changes which paths a given seed
-        #: samples (the sequential path consumes one global stream).
-        #: ``batch_size`` is accepted for interface uniformity and has no
-        #: effect: path sampling interleaves rng draws with each traversal,
-        #: so batching SPD builds would change the sample stream.
+        #: identical for any ``n_jobs``.  ``batch_size`` is accepted for
+        #: interface uniformity and has no effect: path sampling interleaves
+        #: rng draws with each traversal, so batching SPD builds would change
+        #: the sample stream.
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
@@ -182,57 +180,49 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         if graph.number_of_vertices() < 2:
             raise ConfigurationError("the graph must have at least two vertices")
         rng = ensure_rng(seed)
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        diagnostics: Dict[str, object] = {"backend": backend}
-        if plan is not None:
-            with timed() as clock:
-                shards = sample_shards(num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    buffer = merge_ordered(
-                        run_sharded(
-                            _rk_all_shard_csr, shards, n_jobs=plan.n_jobs, plan=plan, shared=csr
-                        )
+        backend = resolve_backend(plan.backend)
+        with timed() as clock:
+            shards = sample_shards(num_samples, rng)
+            if backend == "csr":
+                csr = plan_snapshot(graph, plan)
+                buffer = merge_ordered(
+                    run_sharded(
+                        _rk_all_shard_csr,
+                        shards,
+                        n_jobs=plan.n_jobs,
+                        plan=plan,
+                        shared=csr,
                     )
-                    estimates = vertex_keyed(csr, buffer / num_samples)
-                else:
-                    counts = merge_ordered(
-                        run_sharded(
-                            _rk_all_shard_dict,
-                            shards,
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("rk-all-dict", id(self), id(graph), graph.version),
-                                lambda: (self, graph),
-                            ),
-                        )
+                )
+                estimates = vertex_keyed(csr, buffer / num_samples)
+            else:
+                counts = merge_ordered(
+                    run_sharded(
+                        _rk_all_shard_dict,
+                        shards,
+                        n_jobs=plan.n_jobs,
+                        plan=plan,
+                        shared=interned_payload(
+                            plan,
+                            ("rk-all-dict", id(self), id(graph), graph.version),
+                            lambda: (self, graph),
+                        ),
                     )
-                    estimates = {v: counts.get(v, 0.0) / num_samples for v in graph.vertices()}
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        elif backend == "csr":
-            with timed() as clock:
-                csr = graph.csr()
-                buffer = np.zeros(csr.number_of_vertices())
-                for _ in range(num_samples):
-                    for i in self._sample_internal_indices(csr, rng):
-                        buffer[i] += 1.0
-            estimates = vertex_keyed(csr, buffer / num_samples)
-        else:
-            counts: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-            with timed() as clock:
-                for _ in range(num_samples):
-                    for v in self._sample_internal_vertices(graph, rng):
-                        counts[v] += 1.0
-            estimates = {v: c / num_samples for v, c in counts.items()}
+                )
+                estimates = {
+                    v: counts.get(v, 0.0) / num_samples for v in graph.vertices()
+                }
         return MapEstimate(
             estimates=estimates,
             samples=num_samples,
             elapsed_seconds=clock.elapsed,
             method=self.name,
-            diagnostics=diagnostics,
+            diagnostics={
+                "backend": backend,
+                "n_jobs": plan.n_jobs,
+                "batch_size": plan.batch_size,
+            },
         )
 
     # ------------------------------------------------------------------
@@ -249,63 +239,51 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         if num_samples < 1:
             raise ConfigurationError("num_samples must be at least 1")
         rng = ensure_rng(seed)
-        hits = 0.0
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        diagnostics: Dict[str, object] = {"backend": backend}
-        if plan is not None:
-            with timed() as clock:
-                shards = sample_shards(num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    hits = merge_ordered(
-                        run_sharded(
-                            _rk_hits_shard_csr,
-                            shards,
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("rk-hits-csr", id(csr), csr.index_of(r)),
-                                lambda: (csr, csr.index_of(r)),
-                            ),
-                        )
+        backend = resolve_backend(plan.backend)
+        with timed() as clock:
+            shards = sample_shards(num_samples, rng)
+            if backend == "csr":
+                csr = plan_snapshot(graph, plan)
+                hits = merge_ordered(
+                    run_sharded(
+                        _rk_hits_shard_csr,
+                        shards,
+                        n_jobs=plan.n_jobs,
+                        plan=plan,
+                        shared=interned_payload(
+                            plan,
+                            ("rk-hits-csr", id(csr), csr.index_of(r)),
+                            lambda: (csr, csr.index_of(r)),
+                        ),
                     )
-                else:
-                    hits = merge_ordered(
-                        run_sharded(
-                            _rk_hits_shard_dict,
-                            shards,
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("rk-hits-dict", id(self), id(graph), graph.version, r),
-                                lambda: (self, graph, r),
-                            ),
-                        )
+                )
+            else:
+                hits = merge_ordered(
+                    run_sharded(
+                        _rk_hits_shard_dict,
+                        shards,
+                        n_jobs=plan.n_jobs,
+                        plan=plan,
+                        shared=interned_payload(
+                            plan,
+                            ("rk-hits-dict", id(self), id(graph), graph.version, r),
+                            lambda: (self, graph, r),
+                        ),
                     )
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        elif backend == "csr":
-            with timed() as clock:
-                csr = graph.csr()
-                r_index = csr.index_of(r)
-                for _ in range(num_samples):
-                    if r_index in self._sample_internal_indices(csr, rng):
-                        hits += 1.0
-        else:
-            with timed() as clock:
-                for _ in range(num_samples):
-                    if r in self._sample_internal_vertices(graph, rng):
-                        hits += 1.0
-        diagnostics["hits"] = hits
+                )
         return SingleEstimate(
             vertex=r,
             estimate=hits / num_samples,
             samples=num_samples,
             elapsed_seconds=clock.elapsed,
             method=self.name,
-            diagnostics=diagnostics,
+            diagnostics={
+                "backend": backend,
+                "n_jobs": plan.n_jobs,
+                "batch_size": plan.batch_size,
+                "hits": hits,
+            },
         )
 
     # ------------------------------------------------------------------

@@ -10,19 +10,12 @@ benchmark E1.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError
-from repro.execution import (
-    interned_payload,
-    merge_ordered,
-    plan_snapshot,
-    run_sharded,
-    split_shards,
-)
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
+from repro.graphs.csr import resolve_backend
 from repro.samplers.base import (
     AllVerticesEstimator,
     ExecutionPlanMixin,
@@ -30,16 +23,10 @@ from repro.samplers.base import (
     SingleEstimate,
     SingleVertexEstimator,
     timed,
-    vertex_keyed,
 )
 from repro.shortest_paths.dependencies import (
-    accumulate_dependencies,
-    csr_source_dependencies,
-    dependency_at_target_shard_csr,
-    dependency_at_target_shard_dict,
-    dependency_sum_shard_csr,
-    dependency_sum_shard_dict,
-    spd_builder,
+    sharded_dependencies_on_target,
+    sharded_dependency_sums,
 )
 
 __all__ = ["UniformSourceSampler"]
@@ -68,10 +55,9 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         dicts only at the estimate boundary.
     batch_size, n_jobs:
         Execution-engine knobs (:mod:`repro.execution`).  Sources are drawn
-        upfront from the caller's rng stream (the same draws the sequential
-        path makes), so engaging the engine changes neither the sample set
-        nor the estimate beyond float re-association — and a fixed seed
-        gives bit-identical results for any ``n_jobs`` / ``batch_size``.
+        upfront from the caller's rng stream, then their passes run
+        sharded and batched, so a fixed seed gives bit-identical results
+        for any ``n_jobs`` / ``batch_size``.
     """
 
     name = "uniform-source"
@@ -115,92 +101,21 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         rng = ensure_rng(seed)
         n = graph.number_of_vertices()
         scale = 1.0 / (num_samples * max(n - 1, 1))
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        if plan is not None:
-            with timed() as clock:
-                sources = self._sample_sources(graph, num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    buffer = merge_ordered(
-                        run_sharded(
-                            dependency_sum_shard_csr,
-                            split_shards([csr.index_of(s) for s in sources]),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                (
-                                    "dep-sum-csr",
-                                    id(csr),
-                                    plan.batch_size,
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
-                                lambda: (
-                                    csr,
-                                    plan.batch_size,
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
-                            ),
-                        )
-                    )
-                    estimates = vertex_keyed(csr, buffer * scale)
-                else:
-                    totals = merge_ordered(
-                        run_sharded(
-                            dependency_sum_shard_dict,
-                            split_shards(sources),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=graph,
-                        )
-                    )
-                    estimates = {v: totals.get(v, 0.0) * scale for v in graph.vertices()}
-            return MapEstimate(
-                estimates=estimates,
-                samples=num_samples,
-                elapsed_seconds=clock.elapsed,
-                method=self.name,
-                diagnostics={
-                    "with_replacement": self.with_replacement,
-                    "backend": backend,
-                    "n_jobs": plan.n_jobs,
-                    "batch_size": plan.batch_size,
-                },
-            )
-        if backend == "csr":
-            with timed() as clock:
-                # Building (or fetching the cached) snapshot is part of the
-                # backend's cost, so it is timed like the dict traversals.
-                csr = graph.csr()
-                buffer = np.zeros(csr.number_of_vertices())
-                sources = self._sample_sources(graph, num_samples, rng)
-                for s in sources:
-                    # delta[s] == 0 by construction: array addition matches
-                    # the dict loop's "skip v == s" rule.
-                    buffer += csr_source_dependencies(
-                        csr, csr.index_of(s), kernel=self.kernel
-                    )
-            estimates = vertex_keyed(csr, buffer * scale)
-        else:
-            build = spd_builder(graph)
-            totals: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-            with timed() as clock:
-                sources = self._sample_sources(graph, num_samples, rng)
-                for s in sources:
-                    spd = build(graph, s)
-                    for v, delta in accumulate_dependencies(spd).items():
-                        if v != s:
-                            totals[v] += delta
-            estimates = {v: total * scale for v, total in totals.items()}
+        with timed() as clock:
+            sources = self._sample_sources(graph, num_samples, rng)
+            estimates = sharded_dependency_sums(graph, sources, plan, scale)
         return MapEstimate(
             estimates=estimates,
             samples=num_samples,
             elapsed_seconds=clock.elapsed,
             method=self.name,
-            diagnostics={"with_replacement": self.with_replacement, "backend": backend},
+            diagnostics={
+                "with_replacement": self.with_replacement,
+                "backend": resolve_backend(plan.backend),
+                "n_jobs": plan.n_jobs,
+                "batch_size": plan.batch_size,
+            },
         )
 
     # ------------------------------------------------------------------
@@ -224,97 +139,21 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         rng = ensure_rng(seed)
         n = graph.number_of_vertices()
         total = 0.0
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        if plan is not None:
-            with timed() as clock:
-                sources = self._sample_sources(graph, num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    values = merge_ordered(
-                        run_sharded(
-                            dependency_at_target_shard_csr,
-                            split_shards([csr.index_of(s) for s in sources]),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                (
-                                    "dep-at-target-csr",
-                                    id(csr),
-                                    plan.batch_size,
-                                    csr.index_of(r),
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
-                                lambda: (
-                                    csr,
-                                    plan.batch_size,
-                                    csr.index_of(r),
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
-                            ),
-                        )
-                    )
-                else:
-                    values = merge_ordered(
-                        run_sharded(
-                            dependency_at_target_shard_dict,
-                            split_shards(sources),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("dep-at-target-dict", id(graph), graph.version, r),
-                                lambda: (graph, r),
-                            ),
-                        )
-                    )
-                for value in values:
-                    total += value
-            return SingleEstimate(
-                vertex=r,
-                estimate=total / (num_samples * max(n - 1, 1)),
-                samples=num_samples,
-                elapsed_seconds=clock.elapsed,
-                method=self.name,
-                diagnostics={
-                    "with_replacement": self.with_replacement,
-                    "backend": backend,
-                    "n_jobs": plan.n_jobs,
-                    "batch_size": plan.batch_size,
-                },
-            )
-        if backend == "csr":
-            with timed() as clock:
-                csr = graph.csr()
-                r_index = csr.index_of(r)
-                sources = self._sample_sources(graph, num_samples, rng)
-                for s in sources:
-                    if s == r:
-                        continue
-                    total += float(
-                        csr_source_dependencies(csr, csr.index_of(s), kernel=self.kernel)[
-                            r_index
-                        ]
-                    )
-        else:
-            build = spd_builder(graph)
-            with timed() as clock:
-                sources = self._sample_sources(graph, num_samples, rng)
-                for s in sources:
-                    if s == r:
-                        continue
-                    spd = build(graph, s)
-                    deltas = accumulate_dependencies(spd)
-                    total += deltas.get(r, 0.0)
-        estimate = total / (num_samples * max(n - 1, 1))
+        with timed() as clock:
+            sources = self._sample_sources(graph, num_samples, rng)
+            for value in sharded_dependencies_on_target(graph, sources, r, plan):
+                total += value
         return SingleEstimate(
             vertex=r,
-            estimate=estimate,
+            estimate=total / (num_samples * max(n - 1, 1)),
             samples=num_samples,
             elapsed_seconds=clock.elapsed,
             method=self.name,
-            diagnostics={"with_replacement": self.with_replacement, "backend": backend},
+            diagnostics={
+                "with_replacement": self.with_replacement,
+                "backend": resolve_backend(plan.backend),
+                "n_jobs": plan.n_jobs,
+                "batch_size": plan.batch_size,
+            },
         )

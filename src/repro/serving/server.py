@@ -59,7 +59,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.execution import ExecutionPlan, resolve_kernel_threads
+from repro.execution import ExecutionPlan, resolve_kernel_threads, resolve_plan
 from repro.execution.stamp import EXECUTION_STAMP_KEYS, execution_stamp, resolve_kernel_quiet
 from repro.graphs.core import Graph
 from repro.graphs.csr import resolve_backend
@@ -545,14 +545,12 @@ class ServingApp:
         if all(key in payload for key in ("backend", "jobs", "kernel")):
             stamp = {key: payload.get(key) for key in EXECUTION_STAMP_KEYS}
         else:
-            plan = self.plan
+            plan = resolve_plan(self.plan, backend=self.config.backend)
             stamp = execution_stamp(
                 {
-                    "backend": resolve_backend(
-                        plan.backend if plan is not None else self.config.backend
-                    ),
-                    "n_jobs": plan.n_jobs if plan is not None else None,
-                    "batch_size": plan.batch_size if plan is not None else None,
+                    "backend": resolve_backend(plan.backend),
+                    "n_jobs": plan.n_jobs,
+                    "batch_size": plan.batch_size,
                 },
                 kernel=self._kernel,
                 kernel_threads=self._kernel_threads,
@@ -625,7 +623,7 @@ def create_server(
     """
     if app is None:
         app = ServingApp(plan=plan, config=config)
-    elif plan is not None or config is not None:
+    elif any(arg is not None for arg in (plan, config)):
         raise ConfigurationError(
             "pass either a ready ServingApp or plan/config, not both"
         )

@@ -16,7 +16,7 @@ Metropolis-Hastings acceptance ratio is a ratio of two of them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np, resolve_backend, resolve_kernel
@@ -40,6 +40,8 @@ __all__ = [
     "source_dependencies",
     "dependency_on_target",
     "all_dependencies_on_target",
+    "sharded_dependency_sums",
+    "sharded_dependencies_on_target",
     "spd_builder",
     "csr_spd_builder",
     "accumulate_dependencies_csr",
@@ -152,14 +154,13 @@ def all_dependencies_on_target(
     backend every pass runs on the vectorised kernels; the result is
     converted back to a vertex-keyed dict only at this boundary.
 
-    ``batch_size`` / ``n_jobs`` (or a ready-made *plan*) engage the
-    execution engine of :mod:`repro.execution`: sources are split into
-    fixed shards, each shard's passes run through the batched kernels
-    (``batch_size`` sources per traversal on the CSR backend) on up to
-    ``n_jobs`` worker processes, and the per-source values are merged in
-    source order — so the result is identical for any ``n_jobs`` and
-    ``batch_size``.  ``kernel`` selects the (bit-identical) CSR kernel rung
-    for the passes (:func:`~repro.graphs.csr.resolve_kernel`).
+    The passes run on the execution engine of :mod:`repro.execution`
+    (:func:`sharded_dependencies_on_target`): ``batch_size`` sources per
+    batched traversal on the CSR backend, shards on up to ``n_jobs``
+    worker processes, per-source values merged in source order — so the
+    result is identical for any ``n_jobs`` and ``batch_size``.  ``kernel``
+    selects the (bit-identical) CSR kernel rung for the passes
+    (:func:`~repro.graphs.csr.resolve_kernel`).
     """
     graph.validate_vertex(target)
     plan = resolve_plan(
@@ -170,43 +171,97 @@ def all_dependencies_on_target(
         kernel=kernel,
         kernel_threads=kernel_threads,
     )
-    if plan is not None:
-        return _all_dependencies_on_target_planned(graph, target, plan)
-    if resolve_backend(backend) == "csr":
-        csr = graph.csr()
-        r = csr.index_of(target)
-        result = {}
-        for i, v in enumerate(csr.vertices):
-            if i == r:
-                result[v] = 0.0
-                continue
-            delta = csr_source_dependencies(csr, i, kernel=kernel)
-            result[v] = float(delta[r])
-        return result
-    result: Dict[Vertex, float] = {}
-    for v in graph.vertices():
-        if v == target:
-            result[v] = 0.0
-            continue
-        result[v] = dependency_on_target(graph, v, target)
-    return result
-
-
-def _all_dependencies_on_target_planned(
-    graph: Graph, target: Vertex, plan: ExecutionPlan
-) -> Dict[Vertex, float]:
-    """Sharded/batched evaluation of the Equation 5 vector (see the caller)."""
     vertices = graph.vertices()
-    if not vertices:
-        return {}
+    values = sharded_dependencies_on_target(graph, vertices, target, plan)
+    return dict(zip(vertices, values))
+
+
+def sharded_dependency_sums(
+    graph: Graph,
+    sources: Optional[Iterable[Vertex]],
+    plan: ExecutionPlan,
+    scale: float = 1.0,
+) -> Dict[Vertex, float]:
+    """Return ``{v: scale * sum of delta_{s.}(v) over sources s}`` for every vertex.
+
+    The engine path of every "sum the dependency vectors of these sources"
+    workload (exact Brandes, uniform source sampling): *sources*
+    (``None`` = every vertex, duplicates allowed) are cut into fixed
+    shards, each shard sums its passes in source order —
+    ``plan.batch_size`` sources per batched CSR traversal — and the shard
+    buffers merge in shard order, so the result is bit-identical for any
+    ``n_jobs`` / ``batch_size``.
+    """
     if resolve_backend(plan.backend) == "csr":
         csr = plan_snapshot(graph, plan)
-        shards = split_shards(list(range(csr.number_of_vertices())))
+        if sources is None:
+            indices: Sequence[int] = range(csr.number_of_vertices())
+        else:
+            indices = [csr.index_of(s) for s in sources]
+        if not indices:
+            return csr.array_to_vertex_map(np.zeros(csr.number_of_vertices()))
+        kernel = resolve_kernel(plan.kernel)
+        totals = merge_ordered(
+            run_sharded(
+                dependency_sum_shard_csr,
+                split_shards(indices),
+                n_jobs=plan.n_jobs,
+                plan=plan,
+                # Interning keeps one payload object per (snapshot, batch,
+                # kernel, threads) across calls, so a persistent pool ships
+                # the CSR arrays to its workers once per session, not per
+                # request.
+                shared=interned_payload(
+                    plan,
+                    (
+                        "dep-sum-csr",
+                        id(csr),
+                        plan.batch_size,
+                        kernel,
+                        plan.kernel_threads,
+                    ),
+                    lambda: (csr, plan.batch_size, kernel, plan.kernel_threads),
+                ),
+            )
+        )
+        return csr.array_to_vertex_map(totals * scale)
+    source_list = list(sources) if sources is not None else graph.vertices()
+    for s in source_list:
+        graph.validate_vertex(s)
+    if not source_list:
+        return {v: 0.0 for v in graph.vertices()}
+    totals = merge_ordered(
+        run_sharded(
+            dependency_sum_shard_dict,
+            split_shards(source_list),
+            n_jobs=plan.n_jobs,
+            plan=plan,
+            shared=graph,
+        )
+    )
+    return {v: totals.get(v, 0.0) * scale for v in graph.vertices()}
+
+
+def sharded_dependencies_on_target(
+    graph: Graph, sources: Sequence[Vertex], target: Vertex, plan: ExecutionPlan
+) -> List[float]:
+    """Return ``[delta_{s.}(target) for s in sources]`` (0 where ``s == target``).
+
+    The engine path of every "one dependency per source, read at one
+    target" workload (Equation 5, uniform and importance source sampling),
+    sharded and batched like :func:`sharded_dependency_sums`; the values
+    come back in *sources* order.
+    """
+    if not sources:
+        return []
+    if resolve_backend(plan.backend) == "csr":
+        csr = plan_snapshot(graph, plan)
         target_index = csr.index_of(target)
-        values = merge_ordered(
+        kernel = resolve_kernel(plan.kernel)
+        return merge_ordered(
             run_sharded(
                 dependency_at_target_shard_csr,
-                shards,
+                split_shards([csr.index_of(s) for s in sources]),
                 n_jobs=plan.n_jobs,
                 plan=plan,
                 # One interned payload per (snapshot, batch, target, kernel,
@@ -219,25 +274,23 @@ def _all_dependencies_on_target_planned(
                         id(csr),
                         plan.batch_size,
                         target_index,
-                        plan.kernel,
+                        kernel,
                         plan.kernel_threads,
                     ),
                     lambda: (
                         csr,
                         plan.batch_size,
                         target_index,
-                        plan.kernel,
+                        kernel,
                         plan.kernel_threads,
                     ),
                 ),
             )
         )
-        return dict(zip(csr.vertices, values))
-    shards = split_shards(vertices)
-    values = merge_ordered(
+    return merge_ordered(
         run_sharded(
             dependency_at_target_shard_dict,
-            shards,
+            split_shards(sources),
             n_jobs=plan.n_jobs,
             plan=plan,
             shared=interned_payload(
@@ -247,7 +300,6 @@ def _all_dependencies_on_target_planned(
             ),
         )
     )
-    return dict(zip(vertices, values))
 
 
 # ----------------------------------------------------------------------

@@ -384,7 +384,7 @@ class TestBatchCommand:
         self, barbell_file, tmp_path
     ):
         """--backend dict with no --jobs/--batch-size must run (and stamp)
-        the dict backend, bit-identical to the cold sequential command."""
+        the dict backend, bit-identical to the cold default command."""
         code_cold, cold_out = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5",
              "--samples", "60", "--seed", "1", "--backend", "dict"]

@@ -717,16 +717,22 @@ def test_resolve_kernel_auto_follows_availability(monkeypatch):
     assert resolve_kernel("auto") == "csr"
 
 
-def test_resolve_kernel_explicit_compiled_warns_and_falls_back(monkeypatch):
+@pytest.mark.parametrize("batch_size", [None, 1, 8])
+def test_resolve_kernel_explicit_compiled_warns_and_falls_back(monkeypatch, batch_size):
     from repro.graphs import csr as csr_module
     from repro.graphs.csr import resolve_kernel
 
     monkeypatch.setattr(csr_module, "_COMPILED_OK", False)
     with pytest.warns(RuntimeWarning, match="falling back to the numpy CSR kernels"):
         assert resolve_kernel("compiled") == "csr"
-    # ... and the fallback changes no result: a compiled-requested exact run
-    # equals the csr run even though the rung silently degraded.
+    # ... the run itself warns at every batch size (the kernel is resolved
+    # once per call, before any batch route is picked), and the fallback
+    # changes no result: a compiled-requested exact run equals the csr run.
     graph = barabasi_albert_graph(18, 2, seed=3)
-    with pytest.warns(RuntimeWarning):
-        degraded = betweenness_centrality(graph, backend="csr", kernel="compiled")
-    assert degraded == betweenness_centrality(graph, backend="csr", kernel="csr")
+    with pytest.warns(RuntimeWarning, match="falling back to the numpy CSR kernels"):
+        degraded = betweenness_centrality(
+            graph, backend="csr", kernel="compiled", batch_size=batch_size
+        )
+    assert degraded == betweenness_centrality(
+        graph, backend="csr", kernel="csr", batch_size=batch_size
+    )

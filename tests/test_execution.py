@@ -26,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.exact.brandes import betweenness_centrality
 from repro.exact.group import group_betweenness_centrality
 from repro.execution import (
+    DEFAULT_BATCH_SIZE,
     DEFAULT_SHARD_SIZE,
     ExecutionPlan,
     merge_ordered,
@@ -151,10 +152,19 @@ def test_batch_rejects_empty_and_out_of_range_sources():
 # ----------------------------------------------------------------------
 
 
-def test_resolve_plan_returns_none_without_any_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert resolve_plan(None) is None
+def test_resolve_plan_returns_the_default_plan_without_any_knob(monkeypatch):
+    for name in (
+        "REPRO_JOBS",
+        "REPRO_BATCH",
+        "REPRO_SHARED_CACHE",
+        "REPRO_SHARED_GRAPH",
+        "REPRO_MP_CONTEXT",
+        "REPRO_KERNEL_THREADS",
+    ):
+        monkeypatch.delenv(name, raising=False)
+    assert resolve_plan(None) == ExecutionPlan(batch_size=DEFAULT_BATCH_SIZE, n_jobs=1)
+    # Default shards hold whole default batches.
+    assert DEFAULT_SHARD_SIZE % DEFAULT_BATCH_SIZE == 0
 
 
 def test_resolve_plan_env_overrides(monkeypatch):
@@ -272,11 +282,16 @@ def test_worker_payloads_survive_a_real_pool():
 
 
 def _grid(reference_fn):
-    """Assert ``reference_fn(n_jobs, batch_size)`` is constant over the grid."""
+    """Assert ``reference_fn(n_jobs, batch_size)`` is constant over the grid.
+
+    ``(None, None)`` is the default call (no knob set), which runs the same
+    engine path under the same contract.
+    """
     reference = reference_fn(1, 1)
     for n_jobs in JOBS_GRID:
         for batch_size in BATCH_GRID:
             assert reference_fn(n_jobs, batch_size) == reference, (n_jobs, batch_size)
+    assert reference_fn(None, None) == reference
     return reference
 
 
@@ -749,9 +764,6 @@ def test_execution_plan_validates_and_carries_the_kernel():
         ExecutionPlan(kernel="fpga")
     assert ExecutionPlan().kernel == "auto"
     assert ExecutionPlan(kernel="compiled").kernel == "compiled"
-    # Like shared_cache, the kernel never engages the engine by itself...
-    assert resolve_plan(None, kernel="compiled") is None
-    # ... but it fills the field of a plan another knob engaged.
     plan = resolve_plan(None, batch_size=8, kernel="compiled")
     assert plan.kernel == "compiled" and plan.batch_size == 8
 

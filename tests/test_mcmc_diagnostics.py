@@ -261,8 +261,23 @@ class TestDiagnoseChain:
         assert report.tv_distance_to_stationary is None
 
     def test_healthy_chain(self, barbell):
-        chain = SingleSpaceMHSampler().run_chain(barbell, 5, 2000, seed=5)
-        assert diagnose_chain(chain).healthy()
+        # Geweke |z| <= 2 fails on a fixed share of seeds even for a correct
+        # chain (about 9-10% here over thousands of seeds), so one seed
+        # proves nothing; the share over a fixed range must stay low.
+        sampler = SingleSpaceMHSampler()
+        unhealthy = sum(
+            not diagnose_chain(sampler.run_chain(barbell, 5, 2000, seed=seed)).healthy()
+            for seed in range(100)
+        )
+        assert unhealthy <= 20
+
+    def test_visits_match_the_stationary_distribution(self, barbell):
+        # Equation 5: visit frequencies converge to delta(v, r) / sum(delta).
+        sampler = SingleSpaceMHSampler()
+        for seed in range(3):
+            chain = sampler.run_chain(barbell, 5, 20000, seed=seed)
+            tv = diagnose_chain(chain, graph=barbell).tv_distance_to_stationary
+            assert tv <= 0.05
 
     def test_unhealthy_when_acceptance_degenerate(self):
         report = ChainDiagnostics(

@@ -32,6 +32,7 @@ from repro.execution import (
     run_sharded,
     split_shards,
 )
+from repro.execution.plan import DEFAULT_BATCH_SIZE
 from repro.execution.runtime import (
     PAYLOAD_CACHE_LIMIT,
     PersistentWorkerPool,
@@ -351,11 +352,16 @@ class TestMpContextKnob:
             resolve_mp_context(None)
 
     def test_resolve_plan_fills_mp_context_without_engaging(self, monkeypatch):
+        """The start method fills its field and changes nothing else: the
+        plan keeps the default execution discipline."""
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
         monkeypatch.setenv("REPRO_MP_CONTEXT", "spawn")
-        assert resolve_plan(None) is None  # never engages on its own
+        plan = resolve_plan(None)
+        assert plan.mp_context == "spawn"
+        assert (plan.n_jobs, plan.batch_size) == (1, DEFAULT_BATCH_SIZE)
         plan = resolve_plan(None, n_jobs=2)
         assert plan.mp_context == "spawn"
-
 
 # ----------------------------------------------------------------------
 # shared_memory_available memoization (satellite)

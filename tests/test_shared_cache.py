@@ -28,6 +28,7 @@ import pytest
 from repro.centrality.api import betweenness_single, relative_betweenness
 from repro.errors import ConfigurationError
 from repro.execution import resolve_plan, resolve_shared_cache
+from repro.execution.plan import DEFAULT_BATCH_SIZE
 from repro.execution.shared_cache import (
     SharedDependencyStore,
     create_shared_store,
@@ -477,21 +478,21 @@ def test_shared_cache_env_override_reaches_the_driver(graph, monkeypatch):
 
 def test_shared_cache_env_never_engages_the_engine(graph, monkeypatch):
     """The cache flag selects a sharing policy, not an execution discipline:
-    with only REPRO_SHARED_CACHE set, resolve_plan must stay None so every
-    estimator keeps its legacy sequential path (and its legacy estimate) —
-    an earlier revision let the flag engage the plan and silently moved
-    fixed-seed RK/MH results."""
+    with only REPRO_SHARED_CACHE set, resolve_plan fills that one field and
+    keeps the default n_jobs and batch size, so a single-process estimator
+    returns the same fixed-seed estimate with the flag on or off."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_BATCH", raising=False)
     r = graph.vertices()[0]
-    legacy = betweenness_single(graph, r, method="rk", samples=60, seed=7)
+    unflagged = betweenness_single(graph, r, method="rk", samples=60, seed=7)
     monkeypatch.setenv("REPRO_SHARED_CACHE", "1")
-    assert resolve_plan(None) is None
+    plan = resolve_plan(None)
+    assert plan.shared_cache is True
+    assert (plan.n_jobs, plan.batch_size) == (1, DEFAULT_BATCH_SIZE)
     flagged = betweenness_single(graph, r, method="rk", samples=60, seed=7)
-    assert flagged.estimate == legacy.estimate
-    # When the other knobs do engage the engine, the field is filled in.
+    assert flagged.estimate == unflagged.estimate
     plan = resolve_plan(None, n_jobs=2)
-    assert plan is not None and plan.shared_cache is True
+    assert plan.shared_cache is True
 
 
 def test_shared_cache_env_override_rejects_garbage(monkeypatch):

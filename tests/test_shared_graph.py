@@ -35,6 +35,7 @@ from repro.execution import (
     resolve_plan,
     resolve_shared_graph,
 )
+from repro.execution.plan import DEFAULT_BATCH_SIZE
 from repro.graphs import Graph, barabasi_albert_graph
 from repro.graphs.csr import np
 from repro.graphs.shared import (
@@ -264,12 +265,15 @@ def test_resolve_shared_graph_explicit_wins_over_env(monkeypatch):
 
 
 def test_shared_graph_env_never_engages_the_engine(monkeypatch):
+    """The flag fills its field and leaves the default n_jobs and batch size."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_BATCH", raising=False)
     monkeypatch.setenv("REPRO_SHARED_GRAPH", "1")
-    assert resolve_plan(None) is None
+    plan = resolve_plan(None)
+    assert plan.shared_graph is True
+    assert (plan.n_jobs, plan.batch_size) == (1, DEFAULT_BATCH_SIZE)
     plan = resolve_plan(None, n_jobs=2)
-    assert plan is not None and plan.shared_graph is True
+    assert plan.shared_graph is True
 
 
 def test_plan_validates_the_shared_graph_field():
