@@ -15,21 +15,20 @@ implementations suitable for small-to-mid graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.execution import (
     ExecutionPlan,
     merge_ordered,
-    plan_snapshot,
+    plan_view,
     resolve_plan,
     run_sharded,
     split_shards,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
+from repro.graphs.csr import np
 from repro.shortest_paths.batch import BatchedSPD, bfs_spd_batch_csr
-from repro.shortest_paths.bfs import bfs_spd
 from repro.shortest_paths.dependencies import csr_spd_builder, iter_batches, spd_builder
 from repro.shortest_paths.spd import CSRShortestPathDAG, ShortestPathDAG
 
@@ -128,32 +127,48 @@ def _csr_avoid_counts_batch(batch: BatchedSPD, member_mask):
     return avoid.reshape(k, n)
 
 
-def _group_shard_csr(shared, shard):
-    """Shard worker: summed group-betweenness contributions of the shard's sources.
+def _group_accumulate(view, sources, members, total: float) -> float:
+    """Kernel entry: add the group-betweenness contributions of *sources* to *total*.
 
-    ``shared`` is ``(csr, batch_size, member_mask)``; unweighted snapshots
-    run ``batch_size`` sources per batched BFS + avoid pass, weighted ones
-    fall back to the per-source kernels.  Per-source contributions are
-    summed sequentially in shard order.
+    *sources* and *members* are indices of *view*.  On a CSR snapshot each
+    source's contribution is summed in a vectorised pass (unweighted
+    snapshots run the batch as one batched BFS + avoid pass, weighted ones
+    the per-source kernels) and added to *total* in source order; on the
+    dict reference view every ``(s, t)`` term is added to *total* in turn.
     """
-    csr, batch_size, member_mask = shared
-    total = 0.0
-    if not csr.weighted:
-        for batch in iter_batches(shard, batch_size):
-            spds = bfs_spd_batch_csr(csr, batch)
-            avoid = _csr_avoid_counts_batch(spds, member_mask)
-            for row, s in enumerate(batch):
-                reachable = np.flatnonzero(np.isfinite(spds.dist[row]))
-                keep = reachable[(reachable != s) & ~member_mask[reachable]]
-                sigma = spds.sig[row][keep]
-                positive = sigma > 0.0
-                through = sigma[positive] - avoid[row][keep][positive]
-                ratio = through / sigma[positive]
-                total += float(ratio[through > 0.0].sum())
+    if view.backend == "dict":
+        graph = view.graph
+        build = spd_builder(graph)
+        for s in sources:
+            spd = build(graph, s)
+            avoiding = _paths_through_counts(spd, members)
+            for t in spd.order:
+                if t == s or t in members:
+                    continue
+                sigma = spd.sigma[t]
+                if sigma <= 0.0:
+                    continue
+                through = sigma - avoiding.get(t, 0.0)
+                if through > 0.0:
+                    total += through / sigma
         return total
-    build = csr_spd_builder(csr)
-    for s in shard:
-        spd = build(csr, s)
+    member_mask = np.zeros(view.number_of_vertices(), dtype=bool)
+    member_mask[list(members)] = True
+    if not view.weighted:
+        spds = bfs_spd_batch_csr(view, sources)
+        avoid = _csr_avoid_counts_batch(spds, member_mask)
+        for row, s in enumerate(sources):
+            reachable = np.flatnonzero(np.isfinite(spds.dist[row]))
+            keep = reachable[(reachable != s) & ~member_mask[reachable]]
+            sigma = spds.sig[row][keep]
+            positive = sigma > 0.0
+            through = sigma[positive] - avoid[row][keep][positive]
+            ratio = through / sigma[positive]
+            total += float(ratio[through > 0.0].sum())
+        return total
+    build = csr_spd_builder(view)
+    for s in sources:
+        spd = build(view, s)
         avoid = _csr_avoid_counts(spd, member_mask)
         reachable = spd.order_indices
         keep = reachable[(reachable != s) & ~member_mask[reachable]]
@@ -165,23 +180,17 @@ def _group_shard_csr(shared, shard):
     return total
 
 
-def _group_shard_dict(shared, shard):
-    """Dict-backend twin of :func:`_group_shard_csr` (``shared`` = (graph, members))."""
-    graph, members = shared
-    build = spd_builder(graph)
+def _group_shard(shared, shard):
+    """Shard worker: summed group-betweenness contributions of the shard's sources.
+
+    ``shared`` is ``(view, batch_size, member_indices)``; the shard's
+    sources reach the kernel entry ``batch_size`` at a time and their
+    contributions are summed sequentially in shard order.
+    """
+    view, batch_size, members = shared
     total = 0.0
-    for s in shard:
-        spd = build(graph, s)
-        avoiding = _paths_through_counts(spd, members)
-        for t in spd.order:
-            if t == s or t in members:
-                continue
-            sigma = spd.sigma[t]
-            if sigma <= 0.0:
-                continue
-            through = sigma - avoiding.get(t, 0.0)
-            if through > 0.0:
-                total += through / sigma
+    for batch in iter_batches(shard, batch_size):
+        total = _group_accumulate(view, batch, members, total)
     return total
 
 
@@ -217,35 +226,18 @@ def _group_betweenness_sum(
     graph: Graph, members: Set[Vertex], plan: ExecutionPlan
 ) -> float:
     """Sharded/batched raw group-betweenness sum (pre-normalisation)."""
-    if resolve_backend(plan.backend) == "csr":
-        csr = plan_snapshot(graph, plan)
-        member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
-        for m in members:
-            member_mask[csr.index_of(m)] = True
-        source_indices = [
-            s for s in range(csr.number_of_vertices()) if not member_mask[s]
-        ]
-        if not source_indices:
-            return 0.0
-        return merge_ordered(
-            run_sharded(
-                _group_shard_csr,
-                split_shards(source_indices),
-                n_jobs=plan.n_jobs,
-                plan=plan,
-                shared=(csr, plan.batch_size, member_mask),
-            )
-        )
-    sources = [s for s in graph.vertices() if s not in members]
+    view = plan_view(graph, plan)
+    member_indices = frozenset(view.index_of(m) for m in members)
+    sources = [s for s in view.vertex_indices() if s not in member_indices]
     if not sources:
         return 0.0
     return merge_ordered(
         run_sharded(
-            _group_shard_dict,
+            _group_shard,
             split_shards(sources),
             n_jobs=plan.n_jobs,
             plan=plan,
-            shared=(graph, members),
+            shared=(view, plan.batch_size, member_indices),
         )
     )
 

@@ -70,6 +70,7 @@ from repro.execution.runtime import (
     graph_snapshot,
     interned_payload,
     plan_snapshot,
+    plan_view,
 )
 from repro.execution.scheduler import (
     merge_ordered,
@@ -102,6 +103,7 @@ __all__ = [
     "interned_payload",
     "graph_snapshot",
     "plan_snapshot",
+    "plan_view",
     "DEFAULT_SHARD_SIZE",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_BATCH_CANDIDATES",

@@ -181,7 +181,7 @@ def probe_n_jobs(
 
     Each candidate runs the real sharded pipeline —
     :func:`~repro.execution.scheduler.run_sharded` over
-    :func:`~repro.shortest_paths.dependencies.dependency_sum_shard_csr` —
+    :func:`~repro.shortest_paths.dependencies.dependency_sum_shard` —
     including pool spin-up, so the timings reflect exactly the cost a
     multi-job plan would pay (spin-up is how parallelism loses on small
     workloads, so it must be billed).  The scheduler's determinism contract
@@ -210,17 +210,17 @@ def probe_n_jobs(
     if max(candidates) == 1:
         return [(1, 0.0)]
     from repro.execution.scheduler import run_sharded, split_shards
-    from repro.shortest_paths.dependencies import dependency_sum_shard_csr
+    from repro.shortest_paths.dependencies import dependency_sum_shard
 
     csr = _csr_of(graph)
     sources = list(range(min(probe_sources, csr.number_of_vertices())))
     if not sources:
         return [(1, 0.0)]
     shards = split_shards(sources)
-    shared = (csr, batch_size)
+    shared = (csr, batch_size, "auto", 1)
 
     def sweep(jobs: int) -> None:
-        run_sharded(dependency_sum_shard_csr, shards, n_jobs=jobs, shared=shared)
+        run_sharded(dependency_sum_shard, shards, n_jobs=jobs, shared=shared)
 
     sweep(1)  # warm-up, untimed (snapshot + cached adjacency first touch)
     timings: List[Tuple[int, float]] = []
@@ -436,17 +436,17 @@ def probe_shard_sizes(
     if resolve_backend(backend) != "csr":
         return [(min(candidates), 0.0)]
     from repro.execution.scheduler import run_sharded, split_shards
-    from repro.shortest_paths.dependencies import dependency_sum_shard_csr
+    from repro.shortest_paths.dependencies import dependency_sum_shard
 
     csr = _csr_of(graph)
     sources = list(range(min(probe_sources, csr.number_of_vertices())))
     if not sources:
         return [(min(candidates), 0.0)]
-    shared = (csr, 1)
+    shared = (csr, 1, "auto", 1)
 
     def sweep(shard_size: int) -> None:
         shards = split_shards(sources, shard_size=shard_size)
-        run_sharded(dependency_sum_shard_csr, shards, n_jobs=n_jobs, shared=shared)
+        run_sharded(dependency_sum_shard, shards, n_jobs=n_jobs, shared=shared)
 
     sweep(candidates[0])  # warm-up, untimed
     timings: List[Tuple[int, float]] = []

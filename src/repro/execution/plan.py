@@ -1,10 +1,12 @@
-"""The :class:`ExecutionPlan` — the library's three execution knobs in one value.
+"""The :class:`ExecutionPlan` — the library's execution knobs in one value.
 
-A plan answers three independent questions for a per-source workload:
+A plan answers independent questions for a per-source workload:
 
-* ``backend`` — which traversal kernels run each pass (``"auto"`` /
-  ``"dict"`` / ``"csr"``, resolved through
-  :func:`~repro.graphs.csr.resolve_backend` at the point of use);
+* ``backend`` — which view the workload runs on, and so which kernels run
+  each pass (``"auto"`` / ``"dict"`` / ``"csr"``, resolved through
+  :func:`~repro.graphs.csr.resolve_backend` at the point of use): the CSR
+  snapshot's numpy kernels, or the pure-Python reference kernels behind
+  the dict :class:`~repro.graphs.csr.ReferenceView`;
 * ``kernel`` — which rung of the CSR kernels runs each pass (``"auto"`` /
   ``"csr"`` / ``"compiled"``, resolved through
   :func:`~repro.graphs.csr.resolve_kernel` at the point of use; the
@@ -18,7 +20,11 @@ A plan answers three independent questions for a per-source workload:
   per-source dependency vectors into a cross-process shared-memory arena
   (:mod:`repro.execution.shared_cache`) instead of each worker keeping a
   private cache.  Consumed by the multi-chain drivers only; per-source
-  workloads have nothing to share across processes beyond their inputs.
+  workloads have nothing to share across processes beyond their inputs;
+* ``shared_graph``, ``mp_context``, ``runtime`` and ``kernel_threads`` —
+  how snapshots ship to workers, how pools start, which persistent
+  context runs them and how many threads each compiled batch kernel uses
+  (see the :class:`ExecutionPlan` attributes).
 
 Resolution mirrors the backend knob: explicit arguments always win, and the
 ``REPRO_JOBS`` / ``REPRO_BATCH`` / ``REPRO_SHARED_CACHE`` /
@@ -85,13 +91,17 @@ class ExecutionPlan:
     Attributes
     ----------
     backend:
-        Traversal backend name (``"auto"`` / ``"dict"`` / ``"csr"``); kept
-        unresolved so each call site resolves it exactly once, next to its
-        graph.
+        Backend name (``"auto"`` / ``"dict"`` / ``"csr"``); kept unresolved
+        so each call site resolves it exactly once, next to its graph, into
+        the view its workers compute on
+        (:func:`~repro.execution.runtime.plan_view`): the CSR snapshot,
+        or the dict :class:`~repro.graphs.csr.ReferenceView` — the
+        pure-Python reference behind the same index-space interface, where
+        only the kernel entries differ.
     batch_size:
-        Sources per batched-kernel call (>= 1; :func:`resolve_plan`
-        defaults it to :data:`DEFAULT_BATCH_SIZE`).  Ignored by the dict
-        backend, which has no batch kernels.
+        Sources per kernel call (>= 1; defaults to
+        :data:`DEFAULT_BATCH_SIZE`, as in :func:`resolve_plan`).  The dict
+        reference kernels run the sources of a call one by one.
     n_jobs:
         Worker processes for the shard scheduler (>= 1; 1 means inline).
     shared_cache:
@@ -144,7 +154,7 @@ class ExecutionPlan:
     """
 
     backend: str = "auto"
-    batch_size: int = 1
+    batch_size: int = DEFAULT_BATCH_SIZE
     n_jobs: int = 1
     shared_cache: bool = False
     shared_graph: bool = False

@@ -66,13 +66,14 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.execution.plan import resolve_mp_context, resolve_plan
+from repro.execution.plan import ExecutionPlan, resolve_mp_context, resolve_plan
 from repro.execution.shared_cache import (
     SharedDependencyStore,
     create_shared_store,
     shared_memory_available,
 )
 from repro.graphs.core import Graph
+from repro.graphs.csr import resolve_backend
 from repro.graphs.shared import (
     SharedCSRGraph,
     create_shared_graph,
@@ -86,6 +87,7 @@ __all__ = [
     "interned_payload",
     "graph_snapshot",
     "plan_snapshot",
+    "plan_view",
     "DEFAULT_ARENA_BYTES",
     "default_arena_rows",
 ]
@@ -878,6 +880,19 @@ def plan_snapshot(graph: Graph, plan):
         shared_graph=getattr(plan, "shared_graph", False),
         runtime=getattr(plan, "runtime", None),
     )
+
+
+def plan_view(graph: Graph, plan: ExecutionPlan):
+    """Return the index-space view a planned call site computes on.
+
+    The graph's dict :class:`~repro.graphs.csr.ReferenceView` when the
+    plan's backend resolves to ``"dict"``, its :func:`plan_snapshot`
+    otherwise.  Shard workers and their callers are written once against
+    this view; only the kernel entries tell the two apart.
+    """
+    if resolve_backend(plan.backend) == "dict":
+        return graph.reference_view()
+    return plan_snapshot(graph, plan)
 
 
 def interned_payload(plan, key, factory: Callable[[], Any]):

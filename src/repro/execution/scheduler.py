@@ -194,10 +194,12 @@ def run_sharded(
 def merge_ordered(buffers: Sequence[Any]):
     """Fold per-shard buffers together strictly in shard order.
 
-    Supports the three accumulator shapes the estimators use:
+    Supports the four accumulator shapes the estimators use:
 
-    * numpy arrays — element-wise sums, one vector addition per shard;
-    * ``{vertex: float}`` dicts — per-key sums, shards applied in order;
+    * numpy arrays — element-wise sums, one vector addition per shard (the
+      CSR snapshot's ``zeros()`` buffers);
+    * ``{vertex: float}`` dicts — per-key sums, shards applied in order
+      (the dict reference view's ``zeros()`` buffers);
     * lists — concatenation (per-source values, e.g. dependency-on-target);
     * floats/ints — plain sequential sums.
 

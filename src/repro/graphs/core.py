@@ -48,7 +48,7 @@ from repro.errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.graphs.csr import CSRGraph
+    from repro.graphs.csr import CSRGraph, ReferenceView
 
 __all__ = ["Vertex", "Edge", "Graph", "GraphDelta", "DELTA_KINDS", "JOURNAL_LIMIT"]
 
@@ -137,6 +137,7 @@ class Graph:
         "_num_edges",
         "_csr",
         "_stale_csr",
+        "_reference",
         "_version",
         "_journal",
         "_journal_floor",
@@ -157,6 +158,7 @@ class Graph:
         # version it was built at, so a weight-only delta can patch it in
         # place instead of paying a full O(m) rebuild (see :meth:`csr`).
         self._stale_csr: Optional[Tuple["CSRGraph", int]] = None
+        self._reference: Optional["ReferenceView"] = None
         self._version = 0
         # Bounded change journal: (version_after, GraphDelta) records, the
         # structured companion to the scalar version stamp.  The journal
@@ -225,6 +227,7 @@ class Graph:
         if self._csr is not None:
             self._stale_csr = (self._csr, self._version)
             self._csr = None
+        self._reference = None
         if self._batch_depth > 0:
             if not self._batch_bumped:
                 self._version += 1
@@ -309,12 +312,13 @@ class Graph:
         return {
             slot: getattr(self, slot)
             for slot in Graph.__slots__
-            if slot not in ("_csr", "_stale_csr", "__weakref__")
+            if slot not in ("_csr", "_stale_csr", "_reference", "__weakref__")
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self._csr = None
         self._stale_csr = None
+        self._reference = None
         for slot, value in state.items():
             setattr(self, slot, value)
 
@@ -605,8 +609,22 @@ class Graph:
         return sorted((len(nbrs) for nbrs in self._adj.values()), reverse=True)
 
     # ------------------------------------------------------------------
-    # CSR view
+    # Index-space views
     # ------------------------------------------------------------------
+    def reference_view(self) -> "ReferenceView":
+        """Return the cached dict-backend view of the graph.
+
+        The :class:`~repro.graphs.csr.ReferenceView` exposes the
+        :class:`~repro.graphs.csr.CSRGraph` index-space surface over the
+        dict adjacency; like :meth:`csr` it is built lazily, re-used until
+        the next mutating operation and dropped by it.
+        """
+        if self._reference is None:
+            from repro.graphs.csr import ReferenceView
+
+            self._reference = ReferenceView(self)
+        return self._reference
+
     def csr(self) -> "CSRGraph":
         """Return the cached immutable CSR snapshot of the graph.
 

@@ -33,11 +33,21 @@ order means that index-based random draws consume the *same* rng stream as
 label-based draws from ``graph.vertices()``, which is what makes the dict and
 CSR backends produce identical estimates for a fixed seed.
 
-numpy gating
-------------
+numpy gating and the reference view
+-----------------------------------
 numpy is an optional dependency at import time: when it is missing this
 module still imports (``np is None``) and :func:`resolve_backend` degrades
-``"auto"`` to ``"dict"`` so the pure-Python code paths keep working.
+``"auto"`` to ``"dict"``.  The dict backend is not a second stack: it is a
+:class:`ReferenceView` exposing the same index-space surface as
+:class:`CSRGraph` (``number_of_vertices``, ``vertex_indices``,
+``index_of`` / ``find_index``, ``vertex_at``, ``zeros``,
+``array_to_vertex_map``), where an "index" is the vertex label itself and
+an accumulation buffer is a vertex-keyed dict.  Shard workers, oracles and
+estimators are written once against "the view" (:func:`graph_view`);
+only the kernel entries dispatch on ``view.backend`` — the pure-Python
+BFS / Dijkstra / Brandes code on the reference view (what the CSR kernels
+are tested against, and the only path without numpy), the numpy and
+compiled kernels on a snapshot.
 
 Kernel rungs
 ------------
@@ -71,6 +81,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CSRGraph",
+    "ReferenceView",
+    "graph_view",
     "BACKENDS",
     "KERNELS",
     "resolve_backend",
@@ -202,6 +214,9 @@ class CSRGraph:
         ``float64`` array of length ``m`` with the matching edge weights
         (all ``1.0`` for unweighted graphs).
     """
+
+    #: The backend name kernel entries dispatch on (see :class:`ReferenceView`).
+    backend = "csr"
 
     __slots__ = (
         "indptr",
@@ -396,6 +411,14 @@ class CSRGraph:
         """Return the vertex label stored at dense *index*."""
         return self._vertices[index]
 
+    def vertex_indices(self) -> range:
+        """Return every vertex index, in vertex order (``range(n)``)."""
+        return range(self.number_of_vertices())
+
+    def zeros(self):
+        """Return a zero accumulation buffer over the vertex indices."""
+        return np.zeros(self.number_of_vertices())
+
     # ------------------------------------------------------------------
     # Structure queries (index space)
     # ------------------------------------------------------------------
@@ -444,3 +467,64 @@ class CSRGraph:
                 self._scipy_forward.T.tocsr() if self.directed else self._scipy_forward
             )
         return self._scipy_backward if transpose else self._scipy_forward
+
+
+class ReferenceView:
+    """The dict backend behind the :class:`CSRGraph` index-space surface.
+
+    A vertex's "index" is its label and an accumulation buffer is a
+    vertex-keyed dict, so code written against a view — shard workers,
+    oracles, estimators — runs unchanged on either backend, and the kernel
+    entries hand the underlying :attr:`graph` to the pure-Python traversal
+    and accumulation code.  Obtain it through ``graph.reference_view()``,
+    which caches it until the next mutation exactly like ``graph.csr()``:
+    the vertex tuple is fixed at construction, the traversals read the
+    live graph.
+    """
+
+    backend = "dict"
+
+    __slots__ = ("graph", "vertices")
+
+    def __init__(self, graph: "Graph") -> None:
+        self.graph = graph
+        #: The vertex labels in insertion order (= the index order).
+        self.vertices: Tuple["Vertex", ...] = tuple(graph.vertices())
+
+    def number_of_vertices(self) -> int:
+        return len(self.vertices)
+
+    def vertex_indices(self) -> Tuple["Vertex", ...]:
+        """Return every vertex index — here the labels — in vertex order."""
+        return self.vertices
+
+    def index_of(self, vertex: "Vertex") -> "Vertex":
+        """Return *vertex* itself (raises :class:`VertexNotFoundError` when absent)."""
+        self.graph.validate_vertex(vertex)
+        return vertex
+
+    def find_index(self, vertex: "Vertex") -> Optional["Vertex"]:
+        """Return *vertex* when it is in the graph, else ``None``."""
+        return vertex if self.graph.has_vertex(vertex) else None
+
+    def vertex_at(self, index: "Vertex") -> "Vertex":
+        return index
+
+    def zeros(self) -> Dict["Vertex", float]:
+        """Return a zero accumulation buffer: ``{vertex: 0.0}`` in vertex order."""
+        return dict.fromkeys(self.vertices, 0.0)
+
+    def array_to_vertex_map(self, values) -> Dict["Vertex", float]:
+        """Return ``{vertex: value}`` from a vertex-keyed buffer (a copy, in vertex order)."""
+        return {v: float(values[v]) for v in self.vertices}
+
+
+def graph_view(graph: "Graph", backend: str = "auto"):
+    """Return the index-space view *backend* computes on.
+
+    ``graph.csr()`` when the backend resolves to ``"csr"``,
+    ``graph.reference_view()`` when it resolves to ``"dict"``.
+    """
+    if resolve_backend(backend) == "csr":
+        return graph.csr()
+    return graph.reference_view()

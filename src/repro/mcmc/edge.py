@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError, EdgeNotFoundError, SamplingError
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
+from repro.graphs.csr import graph_view
 from repro.mcmc.single import state_contribution
 from repro.samplers.base import SingleEstimate, timed
 from repro.shortest_paths.dependencies import (
@@ -45,19 +45,28 @@ __all__ = ["EdgeDependencyOracle", "EdgeMHSampler", "exact_edge_dependency_vecto
 EdgeKey = Tuple[Vertex, Vertex]
 
 
-def _edge_dependency_from_map(edge_deltas: Dict[EdgeKey, float], edge: EdgeKey) -> float:
-    """Sum the two possible DAG orientations of an undirected edge."""
-    a, b = edge
-    return edge_deltas.get((a, b), 0.0) + edge_deltas.get((b, a), 0.0)
+def edge_dependency(view, source, a, b) -> float:
+    """Kernel entry: δ_{source·}({a, b}) for indices *source*, *a*, *b* of *view*.
+
+    Sums the two possible DAG orientations of the undirected edge.  On a
+    CSR snapshot the array-backed SPD is read straight from its predecessor
+    arrays (:func:`csr_edge_dependency`); on the dict reference view the
+    full edge-dependency map of :func:`accumulate_edge_dependencies` is
+    accumulated and read at the edge.
+    """
+    if view.backend == "dict":
+        graph = view.graph
+        edge_deltas = accumulate_edge_dependencies(spd_builder(graph)(graph, source))
+        return edge_deltas.get((a, b), 0.0) + edge_deltas.get((b, a), 0.0)
+    return csr_edge_dependency(csr_spd_builder(view)(view, source), a, b)
 
 
 class EdgeDependencyOracle:
     """Evaluate (and cache) per-source dependency scores on a fixed edge.
 
-    On the CSR backend each evaluation builds an array-backed SPD and reads
-    the two possible DAG orientations of the edge straight from the
-    predecessor arrays (:func:`csr_edge_dependency`); the dict backend keeps
-    the original full edge-dependency map accumulation.
+    Holds a view of the graph (the CSR snapshot or the dict reference view,
+    per *backend*) and evaluates through the kernel entry
+    :func:`edge_dependency`.
     """
 
     def __init__(
@@ -73,15 +82,8 @@ class EdgeDependencyOracle:
             raise EdgeNotFoundError(a, b)
         self._graph = graph
         self._edge = (a, b)
-        self._backend = resolve_backend(backend)
-        if self._backend == "csr":
-            self._csr = graph.csr()
-            self._csr_build = csr_spd_builder(self._csr)
-            self._edge_indices = (self._csr.index_of(a), self._csr.index_of(b))
-            self._build = None
-        else:
-            self._csr = None
-            self._build = spd_builder(graph)
+        self._view = graph_view(graph, backend)
+        self._edge_indices = (self._view.index_of(a), self._view.index_of(b))
         self._cache: "OrderedDict[Vertex, float]" = OrderedDict()
         self._cache_size = cache_size
         self.evaluations = 0
@@ -95,7 +97,7 @@ class EdgeDependencyOracle:
     @property
     def backend(self) -> str:
         """The resolved traversal backend (``"dict"`` or ``"csr"``)."""
-        return self._backend
+        return self._view.backend
 
     def dependency(self, source: Vertex) -> float:
         """Return δ_{source·}(edge)."""
@@ -105,14 +107,9 @@ class EdgeDependencyOracle:
             self._cache.move_to_end(source)
             return self._cache[source]
         self.evaluations += 1
-        if self._backend == "csr":
-            spd = self._csr_build(self._csr, self._csr.index_of(source))
-            value = csr_edge_dependency(spd, *self._edge_indices)
-        else:
-            spd = self._build(self._graph, source)
-            value = _edge_dependency_from_map(
-                accumulate_edge_dependencies(spd), self._edge
-            )
+        value = edge_dependency(
+            self._view, self._view.index_of(source), *self._edge_indices
+        )
         if cache_enabled:
             self._cache[source] = value
             if self._cache_size is not None and len(self._cache) > self._cache_size:

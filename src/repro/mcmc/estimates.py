@@ -11,11 +11,15 @@ vertex, which makes
 * the joint-space sampler able to evaluate :math:`\\delta_{v\\bullet}(r_i)`
   for every ``r_i ∈ R`` from a single pass.
 
-With the CSR backend (the default whenever numpy is available) the Brandes
-pass runs on the vectorised kernels of :mod:`repro.shortest_paths` and the
-cached vector is a dense ``float64`` array indexed by CSR vertex index;
-point queries read one array element and the dict view is materialised only
-when a caller explicitly asks for a vertex-keyed vector.
+The oracle holds a view of the graph (:func:`~repro.graphs.csr.graph_view`)
+and computes every vector through the per-source kernel entry
+:func:`~repro.shortest_paths.dependencies.source_dependency_rows`.  With the
+CSR backend (the default whenever numpy is available) the Brandes pass runs
+on the batched kernels of :mod:`repro.shortest_paths` and the cached vector
+is a dense ``float64`` array indexed by CSR vertex index; on the dict
+reference view it is the pure-Python pass and a vertex-keyed dict.  Point
+queries read one entry either way, and a vertex-keyed copy is materialised
+only when a caller explicitly asks for a whole vector.
 
 Caching is an implementation choice, not part of the algorithm; benchmark E8
 ablates it.
@@ -30,8 +34,8 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.errors import ConfigurationError
 from repro.execution.plan import DEFAULT_BATCH_SIZE
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
-from repro.shortest_paths.dependencies import accumulate_dependencies, spd_builder
+from repro.graphs.csr import graph_view
+from repro.shortest_paths.dependencies import iter_batches, source_dependency_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.execution.shared_cache import SharedDependencyStore
@@ -45,16 +49,19 @@ class DependencyOracle:
     Parameters
     ----------
     graph:
-        The graph all evaluations refer to.  The oracle snapshots the graph
-        through :meth:`Graph.csr` when the CSR backend is active and assumes
-        the graph is not mutated while the oracle is alive.
+        The graph all evaluations refer to.  The oracle takes its view once
+        (the CSR snapshot, or the dict reference view) and assumes the
+        graph is not mutated while the oracle is alive, short of
+        :meth:`apply_delta`.
     cache_size:
         Maximum number of source vertices whose dependency vectors are kept
         (LRU eviction).  ``0`` disables caching entirely; ``None`` means
         unbounded.
     backend:
         ``"auto"`` (default), ``"dict"`` or ``"csr"``; see
-        :func:`repro.graphs.csr.resolve_backend`.
+        :func:`repro.graphs.csr.resolve_backend`.  Selects the view — and
+        with it the kernels behind the one evaluation path: ``"dict"`` is
+        the pure-Python reference view behind the same interface.
     batch_size:
         Sources per batched traversal of :meth:`prefetch` blocks (``None``
         = :data:`~repro.execution.plan.DEFAULT_BATCH_SIZE`).  CSR vectors
@@ -89,15 +96,9 @@ class DependencyOracle:
         shared_store: Optional["SharedDependencyStore"] = None,
     ) -> None:
         self._graph = graph
-        self._backend = resolve_backend(backend)
-        if self._backend == "csr":
-            self._csr = graph.csr()
-            self._build = None
-        else:
-            self._csr = None
-            self._build = spd_builder(graph)
+        self._view = graph_view(graph, backend)
         if shared_store is not None:
-            if self._backend != "csr":
+            if self._view.backend != "csr":
                 warnings.warn(
                     "the shared dependency store requires the CSR backend; "
                     "falling back to the private cache",
@@ -105,10 +106,10 @@ class DependencyOracle:
                     stacklevel=2,
                 )
                 shared_store = None
-            elif shared_store.num_vertices != self._csr.number_of_vertices():
+            elif shared_store.num_vertices != self._view.number_of_vertices():
                 raise ConfigurationError(
                     f"shared store is sized for {shared_store.num_vertices} "
-                    f"vertices but the graph has {self._csr.number_of_vertices()}"
+                    f"vertices but the graph has {self._view.number_of_vertices()}"
                 )
         self._shared = shared_store
         self._cache: "OrderedDict[Vertex, object]" = OrderedDict()
@@ -134,7 +135,7 @@ class DependencyOracle:
     @property
     def backend(self) -> str:
         """The resolved backend the oracle evaluates with (``"dict"`` or ``"csr"``)."""
-        return self._backend
+        return self._view.backend
 
     @property
     def cache_enabled(self) -> bool:
@@ -200,7 +201,7 @@ class DependencyOracle:
         if self._shared is not None:
             pending = []
             for s in missing:
-                row = self._shared.get(self._csr.index_of(s))
+                row = self._shared.get(self._view.index_of(s))
                 if row is not None:
                     self.shared_hits += 1
                     self._store(s, row)
@@ -209,29 +210,20 @@ class DependencyOracle:
             missing = pending
             if not missing:
                 return 0
-        if self._backend == "csr":
-            from repro.shortest_paths.batch import batch_source_dependencies
-            from repro.shortest_paths.dependencies import iter_batches
-
-            index_of = self._csr.index_of
-            for chunk in iter_batches(missing, self._batch_size):
-                deltas = batch_source_dependencies(
-                    self._csr, [index_of(s) for s in chunk]
-                )
-                for row, s in enumerate(chunk):
-                    # Copy the row so the (K, n) batch matrix can be freed.
-                    self._publish_and_store(s, deltas[row].copy())
-        else:
-            for s in missing:
-                self._store(s, accumulate_dependencies(self._build(self._graph, s)))
+        index_of = self._view.index_of
+        for chunk in iter_batches(missing, self._batch_size):
+            rows = source_dependency_rows(self._view, [index_of(s) for s in chunk])
+            for s, row in zip(chunk, rows):
+                # Copy the row so the (K, n) batch matrix can be freed.
+                self._publish_and_store(s, row.copy())
         self.evaluations += len(missing)
         self.prefetch_evaluations += len(missing)
         return len(missing)
 
     def _publish_and_store(self, source: Vertex, vector: object) -> None:
-        """Publish a freshly computed CSR vector to the shared store, then cache it."""
+        """Publish a freshly computed vector to the shared store (if any), then cache it."""
         if self._shared is not None:
-            self._shared.put(self._csr.index_of(source), vector)
+            self._shared.put(self._view.index_of(source), vector)
         self._store(source, vector)
 
     def _store(self, source: Vertex, vector: object) -> None:
@@ -240,7 +232,7 @@ class DependencyOracle:
             self._cache.popitem(last=False)
 
     def _raw_vector(self, source: Vertex):
-        """Return the cached per-source vector (array or dict, backend-shaped).
+        """Return the cached per-source vector (indexable by the view's indices).
 
         Lookup order: private cache (lock-free), then the cross-process
         shared store (a locked row copy, counted in :attr:`shared_hits` and
@@ -252,27 +244,20 @@ class DependencyOracle:
         if self.cache_enabled and source in self._cache:
             self._cache.move_to_end(source)
             return self._cache[source]
+        index = self._view.index_of(source)
         if self._shared is not None:
-            row = self._shared.get(self._csr.index_of(source))
+            row = self._shared.get(index)
             if row is not None:
                 self.shared_hits += 1
                 if self.cache_enabled:
                     self._store(source, row)
                 return row
         self.evaluations += 1
-        if self._backend == "csr":
-            # A K=1 batch, so a recomputed vector is bit-identical to its
-            # prefetched twin (batch columns are composition-independent).
-            from repro.shortest_paths.batch import batch_source_dependencies
-
-            vector: object = batch_source_dependencies(
-                self._csr, [self._csr.index_of(source)]
-            )[0].copy()
-        else:
-            spd = self._build(self._graph, source)
-            vector = accumulate_dependencies(spd)
+        # A K=1 batch, so a recomputed vector is bit-identical to its
+        # prefetched twin (batch rows are composition-independent).
+        vector = source_dependency_rows(self._view, [index])[0].copy()
         if self._shared is not None:
-            self._shared.put(self._csr.index_of(source), vector)
+            self._shared.put(index, vector)
         if self.cache_enabled:
             self._store(source, vector)
         return vector
@@ -280,49 +265,38 @@ class DependencyOracle:
     def dependency_vector(self, source: Vertex) -> Dict[Vertex, float]:
         """Return ``{target: delta_{source.}(target)}`` for every target.
 
-        On the CSR backend this materialises a vertex-keyed dict from the
-        cached array (boundary conversion); point queries should prefer
-        :meth:`dependency`, which reads a single array element.
+        This materialises a vertex-keyed copy of the cached vector
+        (boundary conversion); point queries should prefer
+        :meth:`dependency`, which reads a single entry.
         """
-        vector = self._raw_vector(source)
-        if self._backend == "csr":
-            return self._csr.array_to_vertex_map(vector)
-        return vector
+        return self._view.array_to_vertex_map(self._raw_vector(source))
 
     def dependency(self, source: Vertex, target: Vertex) -> float:
         """Return :math:`\\delta_{source\\bullet}(target)`.
 
-        0 when ``source == target`` and — matching the dict backend's
-        ``.get(target, 0.0)`` contract — when *target* is not a vertex of
+        0 when ``source == target`` and when *target* is not a vertex of
         the graph at all.
         """
         if source == target:
             return 0.0
         vector = self._raw_vector(source)
-        if self._backend == "csr":
-            index = self._csr.find_index(target)
-            return 0.0 if index is None else float(vector[index])
-        return vector.get(target, 0.0)
+        index = self._view.find_index(target)
+        return 0.0 if index is None else float(vector[index])
 
     def dependencies_for(self, source: Vertex, targets) -> Dict[Vertex, float]:
         """Return ``{t: delta_{source.}(t)}`` for the given *targets* only.
 
         One Brandes pass (or cache hit) serves every target — the joint-space
         chain reads its whole reference set this way without materialising a
-        full vertex-keyed vector.  Unknown targets read as 0.0 on both
-        backends.
+        full vertex-keyed vector.  Unknown targets read as 0.0.
         """
         vector = self._raw_vector(source)
-        if self._backend == "csr":
-            find_index = self._csr.find_index
-            result: Dict[Vertex, float] = {}
-            for t in targets:
-                index = find_index(t)
-                result[t] = (
-                    0.0 if t == source or index is None else float(vector[index])
-                )
-            return result
-        return {t: (0.0 if t == source else vector.get(t, 0.0)) for t in targets}
+        find_index = self._view.find_index
+        result: Dict[Vertex, float] = {}
+        for t in targets:
+            index = find_index(t)
+            result[t] = 0.0 if t == source or index is None else float(vector[index])
+        return result
 
     # ------------------------------------------------------------------
     def apply_delta(self, affected_mask) -> tuple:
@@ -335,32 +309,29 @@ class DependencyOracle:
         for the same journal window.  Cached vectors of unaffected sources
         are bit-identical on the mutated graph — the over-approximation
         contract of :mod:`repro.incremental` — so retaining them can never
-        change a result; affected ones are dropped and re-snapshotting the
-        CSR view re-binds future evaluations to the new structure.  The
+        change a result; affected ones are dropped and re-taking the view
+        re-binds future evaluations to the new structure.  The
         caller guarantees the vertex set is unchanged (vertex ops force the
         full path upstream).  Returns ``(evicted, retained)`` counts.
         Counters survive: they are lifetime work accounting, not graph
         state.
         """
-        if self._backend == "csr":
-            new_csr = self._graph.csr()
-            if (
-                self._shared is not None
-                and self._shared.num_vertices != new_csr.number_of_vertices()
-            ):
-                raise ConfigurationError(
-                    "apply_delta across a vertex-count change; the caller must "
-                    "rebuild the oracle instead"
-                )
-            self._csr = new_csr
-            index_of = new_csr.find_index
-        else:
-            self._build = spd_builder(self._graph)
-            order = {v: i for i, v in enumerate(self._graph.vertices())}
-            index_of = order.get
+        view = graph_view(self._graph, self._view.backend)
+        if (
+            self._shared is not None
+            and self._shared.num_vertices != view.number_of_vertices()
+        ):
+            raise ConfigurationError(
+                "apply_delta across a vertex-count change; the caller must "
+                "rebuild the oracle instead"
+            )
+        self._view = view
+        # The mask is indexed like the post-mutation CSR snapshot, whichever
+        # view the oracle evaluates on.
+        position = self._graph.csr().find_index
         evicted = 0
         for source in list(self._cache):
-            index = index_of(source)
+            index = position(source)
             if index is None or bool(affected_mask[index]):
                 del self._cache[source]
                 evicted += 1

@@ -405,6 +405,7 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
             "backend": resolve_backend(self.backend),
             "n_jobs": plan.n_jobs,
             "batch_size": plan.batch_size,
+            "evaluations": chain.evaluations,
         }
         return RelativeBetweennessEstimate(
             reference_set=chain.reference_set,

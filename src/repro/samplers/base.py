@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro._rng import RandomState
 from repro.execution import ExecutionPlan, resolve_plan
@@ -24,7 +24,6 @@ __all__ = [
     "AllVerticesEstimator",
     "ExecutionPlanMixin",
     "timed",
-    "vertex_keyed",
 ]
 
 
@@ -72,19 +71,6 @@ class ExecutionPlanMixin:
             kernel=self.kernel,
             kernel_threads=self.kernel_threads,
         )
-
-
-def vertex_keyed(csr, values) -> Dict[Vertex, float]:
-    """Convert a per-index accumulation buffer into a ``{vertex: value}`` dict.
-
-    The result boundary of the samplers in *this package*: estimators
-    accumulate into numpy buffers over a
-    :class:`~repro.graphs.csr.CSRGraph` and cross back to vertex labels
-    once, here, when filling the result containers below.  (Other layers —
-    exact, mcmc — convert at their own API boundaries via
-    ``CSRGraph.array_to_vertex_map``, which this delegates to.)
-    """
-    return csr.array_to_vertex_map(values)
 
 
 @dataclass

@@ -19,19 +19,18 @@ shortest path) and ``c ≈ 0.5`` is the universal constant.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError
 from repro.execution import (
     interned_payload,
     merge_ordered,
-    plan_snapshot,
+    plan_view,
     run_sharded,
     sample_shards,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
 from repro.samplers.base import (
     AllVerticesEstimator,
     ExecutionPlanMixin,
@@ -39,12 +38,9 @@ from repro.samplers.base import (
     SingleEstimate,
     SingleVertexEstimator,
     timed,
-    vertex_keyed,
 )
-from repro.shortest_paths.bfs import bfs_distances, bfs_spd
-from repro.shortest_paths.bidirectional import sample_path_interior_csr
-from repro.shortest_paths.dependencies import csr_spd_builder
-from repro.shortest_paths.dijkstra import dijkstra_spd
+from repro.shortest_paths.bfs import bfs_distances
+from repro.shortest_paths.bidirectional import sample_pair_interior
 
 __all__ = ["RiondatoKornaropoulosSampler", "vertex_diameter_estimate", "rk_sample_size"]
 
@@ -90,10 +86,13 @@ def rk_sample_size(
 class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstimator):
     """Uniform shortest-path sampling estimator for all vertices (or one).
 
-    With ``backend="csr"`` (the ``"auto"`` default when numpy is available)
-    pairs are drawn by dense index, the SPD is built by the vectorised CSR
-    kernels and hits are accumulated into a numpy buffer; the rng stream is
-    identical to the dict backend, so a fixed seed samples the same paths.
+    Every sample goes through the path-sampling kernel entry
+    :func:`~repro.shortest_paths.bidirectional.sample_pair_interior` on the
+    plan's view: with ``backend="csr"`` (the ``"auto"`` default when numpy
+    is available) pairs are drawn by dense index, the SPD is built by the
+    vectorised CSR kernels and hits are accumulated into a numpy buffer; the
+    rng stream is identical on the dict reference view, so a fixed seed
+    samples the same paths.
     """
 
     name = "riondato-kornaropoulos"
@@ -118,55 +117,6 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
-    def _sample_internal_vertices(self, graph: Graph, rng) -> list:
-        """Sample one shortest path between a uniform pair and return its interior."""
-        vertices = graph.vertices()
-        n = len(vertices)
-        s = vertices[rng.randrange(n)]
-        t = vertices[rng.randrange(n)]
-        while t == s:
-            t = vertices[rng.randrange(n)]
-        spd = dijkstra_spd(graph, s) if graph.weighted else bfs_spd(graph, s)
-        if not spd.is_reachable(t):
-            return []
-        # Backtrack from t choosing predecessors proportionally to sigma,
-        # which makes every shortest s-t path equally likely.
-        interior = []
-        current = t
-        while True:
-            parents = spd.parents(current)
-            if not parents:
-                break
-            weights = [spd.sigma[p] for p in parents]
-            total = sum(weights)
-            pick = rng.random() * total
-            cumulative = 0.0
-            chosen = parents[-1]
-            for parent, weight in zip(parents, weights):
-                cumulative += weight
-                if pick <= cumulative:
-                    chosen = parent
-                    break
-            if chosen == s:
-                break
-            interior.append(chosen)
-            current = chosen
-        return interior
-
-    @staticmethod
-    def _sample_internal_indices(csr, rng) -> list:
-        """Index-space twin of :meth:`_sample_internal_vertices`."""
-        n = csr.number_of_vertices()
-        s = rng.randrange(n)
-        t = rng.randrange(n)
-        while t == s:
-            t = rng.randrange(n)
-        spd = csr_spd_builder(csr)(csr, s)
-        if not np.isfinite(spd.dist[t]):
-            return []
-        return sample_path_interior_csr(spd, s, t, rng)
-
-    # ------------------------------------------------------------------
     def estimate_all(
         self,
         graph: Graph,
@@ -181,45 +131,19 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
             raise ConfigurationError("the graph must have at least two vertices")
         rng = ensure_rng(seed)
         plan = self._plan()
-        backend = resolve_backend(plan.backend)
         with timed() as clock:
-            shards = sample_shards(num_samples, rng)
-            if backend == "csr":
-                csr = plan_snapshot(graph, plan)
-                buffer = merge_ordered(
-                    run_sharded(
-                        _rk_all_shard_csr,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=csr,
-                    )
-                )
-                estimates = vertex_keyed(csr, buffer / num_samples)
-            else:
-                counts = merge_ordered(
-                    run_sharded(
-                        _rk_all_shard_dict,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("rk-all-dict", id(self), id(graph), graph.version),
-                            lambda: (self, graph),
-                        ),
-                    )
-                )
-                estimates = {
-                    v: counts.get(v, 0.0) / num_samples for v in graph.vertices()
-                }
+            view = plan_view(graph, plan)
+            counts, _ = sharded_path_counts(view, num_samples, rng, plan, balanced=False)
+            estimates = {
+                v: c / num_samples for v, c in view.array_to_vertex_map(counts).items()
+            }
         return MapEstimate(
             estimates=estimates,
             samples=num_samples,
             elapsed_seconds=clock.elapsed,
             method=self.name,
             diagnostics={
-                "backend": backend,
+                "backend": view.backend,
                 "n_jobs": plan.n_jobs,
                 "batch_size": plan.batch_size,
             },
@@ -240,38 +164,11 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
             raise ConfigurationError("num_samples must be at least 1")
         rng = ensure_rng(seed)
         plan = self._plan()
-        backend = resolve_backend(plan.backend)
         with timed() as clock:
-            shards = sample_shards(num_samples, rng)
-            if backend == "csr":
-                csr = plan_snapshot(graph, plan)
-                hits = merge_ordered(
-                    run_sharded(
-                        _rk_hits_shard_csr,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("rk-hits-csr", id(csr), csr.index_of(r)),
-                            lambda: (csr, csr.index_of(r)),
-                        ),
-                    )
-                )
-            else:
-                hits = merge_ordered(
-                    run_sharded(
-                        _rk_hits_shard_dict,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("rk-hits-dict", id(self), id(graph), graph.version, r),
-                            lambda: (self, graph, r),
-                        ),
-                    )
-                )
+            view = plan_view(graph, plan)
+            hits, _ = sharded_path_hits(
+                view, view.index_of(r), num_samples, rng, plan, balanced=False
+            )
         return SingleEstimate(
             vertex=r,
             estimate=hits / num_samples,
@@ -279,7 +176,7 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
             elapsed_seconds=clock.elapsed,
             method=self.name,
             diagnostics={
-                "backend": backend,
+                "backend": view.backend,
                 "n_jobs": plan.n_jobs,
                 "batch_size": plan.batch_size,
                 "hits": hits,
@@ -295,45 +192,63 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
 
 
 # ----------------------------------------------------------------------
-# Shard workers (module-level so the multiprocessing pool can pickle them).
-# Each shard is a ``(sample_count, shard_rng)`` pair from
-# ``repro.execution.sample_shards``.
+# The sharded sample loop of both path samplers (this one and KADABRA,
+# which sets ``balanced``).  Each shard is a ``(sample_count, shard_rng)``
+# pair from ``repro.execution.sample_shards``; the workers are module-level
+# so the multiprocessing pool can pickle them, and return
+# ``(accumulator, touched_edges)``.
 # ----------------------------------------------------------------------
-def _rk_all_shard_csr(shared, shard):
-    csr = shared
+def sharded_path_counts(view, num_samples: int, rng, plan, *, balanced: bool) -> Tuple:
+    """Return ``(counts, touched)``: per-index interior hit counts of *num_samples* paths."""
+    results = run_sharded(
+        _path_counts_shard,
+        sample_shards(num_samples, rng),
+        n_jobs=plan.n_jobs,
+        plan=plan,
+        shared=interned_payload(
+            plan, ("path-counts", id(view), balanced), lambda: (view, balanced)
+        ),
+    )
+    return merge_ordered([b for b, _ in results]), sum(t for _, t in results)
+
+
+def sharded_path_hits(view, r_index, num_samples: int, rng, plan, *, balanced: bool) -> Tuple:
+    """Return ``(hits, touched)``: how many of *num_samples* paths pass through *r_index*."""
+    results = run_sharded(
+        _path_hits_shard,
+        sample_shards(num_samples, rng),
+        n_jobs=plan.n_jobs,
+        plan=plan,
+        shared=interned_payload(
+            plan,
+            ("path-hits", id(view), r_index, balanced),
+            lambda: (view, r_index, balanced),
+        ),
+    )
+    return merge_ordered([h for h, _ in results]), sum(t for _, t in results)
+
+
+def _path_counts_shard(shared, shard):
+    view, balanced = shared
     count, rng = shard
-    buffer = np.zeros(csr.number_of_vertices())
+    buffer = view.zeros()
+    touched_total = 0
     for _ in range(count):
-        for i in RiondatoKornaropoulosSampler._sample_internal_indices(csr, rng):
+        interior, touched = sample_pair_interior(view, rng, balanced=balanced)
+        touched_total += touched
+        for i in interior:
             buffer[i] += 1.0
-    return buffer
+    return buffer, touched_total
 
 
-def _rk_all_shard_dict(shared, shard):
-    sampler, graph = shared
-    count, rng = shard
-    counts: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-    for _ in range(count):
-        for v in sampler._sample_internal_vertices(graph, rng):
-            counts[v] += 1.0
-    return counts
-
-
-def _rk_hits_shard_csr(shared, shard) -> float:
-    csr, r_index = shared
+def _path_hits_shard(shared, shard):
+    view, r_index, balanced = shared
     count, rng = shard
     hits = 0.0
+    touched_total = 0
     for _ in range(count):
-        if r_index in RiondatoKornaropoulosSampler._sample_internal_indices(csr, rng):
+        interior, touched = sample_pair_interior(view, rng, balanced=balanced)
+        touched_total += touched
+        if r_index in interior:
             hits += 1.0
-    return hits
-
-
-def _rk_hits_shard_dict(shared, shard) -> float:
-    sampler, graph, r = shared
-    count, rng = shard
-    hits = 0.0
-    for _ in range(count):
-        if r in sampler._sample_internal_vertices(graph, rng):
-            hits += 1.0
-    return hits
+    return hits, touched_total

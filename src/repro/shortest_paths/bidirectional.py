@@ -5,17 +5,19 @@ Natale 2016, discussed in Section 3.2 of the paper): a BFS is grown from both
 endpoints *s* and *t*, always expanding the frontier that would touch fewer
 edges, until the two frontiers meet.  The meeting structure is then used to
 count shortest s-t paths and to sample one uniformly at random.
+:func:`sample_pair_interior` is the kernel entry both path samplers
+(Riondato–Kornaropoulos and KADABRA) draw every sample through.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro._rng import RandomState, ensure_rng
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np
-from repro.shortest_paths.bfs import bfs_spd
+from repro.shortest_paths.bfs import _gather_neighbors
+from repro.shortest_paths.dependencies import csr_spd_builder, spd_builder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.csr import CSRGraph
@@ -24,6 +26,7 @@ __all__ = [
     "bidirectional_shortest_path_info",
     "bidirectional_shortest_path_info_csr",
     "sample_shortest_path",
+    "sample_pair_interior",
     "sample_path_interior_csr",
     "all_shortest_paths",
 ]
@@ -165,8 +168,6 @@ def bidirectional_shortest_path_info_csr(
 
 def _expand_csr(csr, frontier, dist, sigma, level, other_dist):
     """Vectorised one-level expansion; mirrors :func:`_expand` exactly."""
-    from repro.shortest_paths.bfs import _gather_neighbors
-
     parents, nbrs = _gather_neighbors(csr, frontier)
     if nbrs.size == 0:
         return np.empty(0, dtype=np.int64), level + 1.0, False
@@ -187,15 +188,165 @@ def _expand_csr(csr, frontier, dist, sigma, level, other_dist):
     return next_frontier, level + 1.0, met
 
 
+def sample_pair_interior(view, rng, *, balanced: bool = False) -> Tuple[list, int]:
+    """Kernel entry of the path samplers: one uniform shortest path of a random pair.
+
+    Draws an ordered pair ``s != t`` uniformly from the vertex indices of
+    *view*, samples one shortest s→t path uniformly and returns
+    ``(interior, touched)``: the path's interior vertex indices from *t*
+    backwards (empty when *t* is unreachable) and the edge work of the
+    balanced bidirectional growth.  With ``balanced=True`` (KADABRA) that
+    growth runs first and the sample stops early, with no interior, when
+    the two searches never meet; without it ``touched`` is 0.
+
+    The CSR snapshot runs the vectorised growth and SPD kernels, the dict
+    :class:`~repro.graphs.csr.ReferenceView` the pure-Python ones.  Both
+    consume the rng identically (the pair draws, then one ``random()`` per
+    backtracking step), so a fixed seed samples the same paths on either.
+    """
+    space = view.vertex_indices()
+    n = len(space)
+    s = space[rng.randrange(n)]
+    t = space[rng.randrange(n)]
+    while t == s:
+        t = space[rng.randrange(n)]
+    touched = 0
+    if view.backend == "dict":
+        graph = view.graph
+        if balanced:
+            met, touched = _balanced_meet(graph, s, t)
+            if not met:
+                return [], touched
+        spd = spd_builder(graph)(graph, s)
+        if not spd.is_reachable(t):
+            return [], touched
+        return _backtrack_interior(spd, s, t, rng), touched
+    if balanced:
+        met, touched = _balanced_meet_csr(view, s, t)
+        if not met:
+            return [], touched
+    spd = csr_spd_builder(view)(view, s)
+    if not np.isfinite(spd.dist[t]):
+        return [], touched
+    return sample_path_interior_csr(spd, s, t, rng), touched
+
+
+def _balanced_meet(graph: Graph, s: Vertex, t: Vertex) -> Tuple[bool, int]:
+    """Grow balanced BFS levels from *s* and *t*; return ``(met, touched_edges)``."""
+    dist_s: Dict[Vertex, float] = {s: 0.0}
+    dist_t: Dict[Vertex, float] = {t: 0.0}
+    frontier_s, frontier_t = [s], [t]
+    touched = 0
+    met = False
+    while frontier_s and frontier_t and not met:
+        work_s = sum(graph.degree(v) for v in frontier_s)
+        work_t = sum(graph.degree(v) for v in frontier_t)
+        if work_s <= work_t:
+            frontier_s, met = _meet_step(graph, frontier_s, dist_s, dist_t)
+            touched += work_s
+        else:
+            frontier_t, met = _meet_step(graph, frontier_t, dist_t, dist_s)
+            touched += work_t
+    return met, touched
+
+
+def _meet_step(graph, frontier, dist, other_dist):
+    """One level of :func:`_balanced_meet`: every touched neighbour — not
+    just newly discovered ones — can signal a meeting."""
+    next_frontier = []
+    met = False
+    level = dist[frontier[0]]
+    for u in frontier:
+        for v in graph.neighbors(u):
+            if v not in dist:
+                dist[v] = level + 1.0
+                next_frontier.append(v)
+            if v in other_dist:
+                met = True
+    return next_frontier, met
+
+
+def _balanced_meet_csr(csr: "CSRGraph", s: int, t: int) -> Tuple[bool, int]:
+    """Index-space twin of :func:`_balanced_meet` on a CSR snapshot."""
+    n = csr.number_of_vertices()
+    degrees = csr.degrees()
+    dist_s = np.full(n, np.inf)
+    dist_t = np.full(n, np.inf)
+    dist_s[s] = 0.0
+    dist_t[t] = 0.0
+    frontier_s = np.array([s], dtype=np.int64)
+    frontier_t = np.array([t], dtype=np.int64)
+    touched = 0
+    met = False
+    while frontier_s.size and frontier_t.size and not met:
+        work_s = int(degrees[frontier_s].sum())
+        work_t = int(degrees[frontier_t].sum())
+        if work_s <= work_t:
+            frontier_s, met = _meet_step_csr(csr, frontier_s, dist_s, dist_t)
+            touched += work_s
+        else:
+            frontier_t, met = _meet_step_csr(csr, frontier_t, dist_t, dist_s)
+            touched += work_t
+    return met, touched
+
+
+def _meet_step_csr(csr, frontier, dist, other_dist):
+    """Vectorised one-level growth; mirrors :func:`_meet_step`."""
+    level = float(dist[frontier[0]])
+    _, nbrs = _gather_neighbors(csr, frontier)
+    if nbrs.size == 0:
+        return np.empty(0, dtype=np.int64), False
+    fresh = nbrs[np.isinf(dist[nbrs])]
+    if fresh.size:
+        _, first_pos = np.unique(fresh, return_index=True)
+        next_frontier = fresh[np.sort(first_pos)]
+        dist[next_frontier] = level + 1.0
+    else:
+        next_frontier = np.empty(0, dtype=np.int64)
+    met = bool(np.isfinite(other_dist[nbrs]).any())
+    return next_frontier, met
+
+
+def _backtrack_interior(spd, source: Vertex, target: Vertex, rng) -> List[Vertex]:
+    """Sample the interior of one uniform shortest source→target path of a dict SPD.
+
+    Backtracks from *target*, choosing each predecessor with probability
+    proportional to its shortest-path count (one ``rng.random()`` per step,
+    cumulative-scan tie-breaking); returns the interior from *target*
+    backwards.
+    """
+    interior: List[Vertex] = []
+    current = target
+    while True:
+        parents = spd.parents(current)
+        if not parents:
+            break
+        weights = [spd.sigma[p] for p in parents]
+        total = sum(weights)
+        pick = rng.random() * total
+        cumulative = 0.0
+        chosen = parents[-1]
+        for parent, weight in zip(parents, weights):
+            cumulative += weight
+            if pick <= cumulative:
+                chosen = parent
+                break
+        if chosen == source:
+            break
+        interior.append(chosen)
+        current = chosen
+    return interior
+
+
 def sample_path_interior_csr(spd, source: int, target: int, rng) -> List[int]:
     """Sample the interior of one uniform shortest source→target path, by index.
 
     Backtracks from *target* through an array-backed SPD, choosing each
     predecessor with probability proportional to its shortest-path count —
     the same uniform-path guarantee (and, deliberately, the same per-step
-    ``rng.random()`` consumption and cumulative-scan tie-breaking) as the
-    dict-backed samplers, so both backends walk identical paths for a fixed
-    seed.  Returns the interior vertex indices from *target* backwards.
+    ``rng.random()`` consumption and cumulative-scan tie-breaking) as
+    :func:`_backtrack_interior`, so both backends walk identical paths for
+    a fixed seed.  Returns the interior vertex indices from *target* backwards.
     """
     interior: List[int] = []
     sig = spd.sig
@@ -232,11 +383,7 @@ def all_shortest_paths(graph: Graph, s: Vertex, t: Vertex) -> List[List[Vertex]]
     graph.validate_vertex(t)
     if s == t:
         return [[s]]
-    spd = bfs_spd(graph, s) if not graph.weighted else None
-    if spd is None:
-        from repro.shortest_paths.dijkstra import dijkstra_spd
-
-        spd = dijkstra_spd(graph, s)
+    spd = spd_builder(graph)(graph, s)
     if not spd.is_reachable(t):
         return []
     paths: List[List[Vertex]] = []
@@ -267,29 +414,7 @@ def sample_shortest_path(
     rng = ensure_rng(seed)
     if s == t:
         return [s]
-    if graph.weighted:
-        from repro.shortest_paths.dijkstra import dijkstra_spd
-
-        spd = dijkstra_spd(graph, s)
-    else:
-        spd = bfs_spd(graph, s)
+    spd = spd_builder(graph)(graph, s)
     if not spd.is_reachable(t):
         return None
-    path: List[Vertex] = [t]
-    current = t
-    while current != s:
-        parents = spd.parents(current)
-        weights = [spd.sigma[p] for p in parents]
-        total = sum(weights)
-        pick = rng.random() * total
-        cumulative = 0.0
-        chosen = parents[-1]
-        for parent, weight in zip(parents, weights):
-            cumulative += weight
-            if pick <= cumulative:
-                chosen = parent
-                break
-        path.append(chosen)
-        current = chosen
-    path.reverse()
-    return path
+    return [s] + _backtrack_interior(spd, s, t, rng)[::-1] + [t]

@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend, resolve_kernel
+from repro.graphs.csr import np, resolve_kernel
 from repro.execution.plan import ExecutionPlan, resolve_plan
-from repro.execution.runtime import interned_payload, plan_snapshot
+from repro.execution.runtime import interned_payload, plan_view
 from repro.execution.scheduler import merge_ordered, run_sharded, split_shards
 from repro.shortest_paths.bfs import bfs_spd, bfs_spd_csr
 from repro.shortest_paths.dijkstra import (
@@ -49,10 +49,9 @@ __all__ = [
     "csr_dependency_on_target",
     "csr_edge_dependency",
     "iter_batches",
-    "dependency_sum_shard_csr",
-    "dependency_sum_shard_dict",
-    "dependency_at_target_shard_csr",
-    "dependency_at_target_shard_dict",
+    "source_dependency_rows",
+    "dependency_sum_shard",
+    "dependency_at_target_shard",
 ]
 
 
@@ -188,58 +187,35 @@ def sharded_dependency_sums(
     workload (exact Brandes, uniform source sampling): *sources*
     (``None`` = every vertex, duplicates allowed) are cut into fixed
     shards, each shard sums its passes in source order —
-    ``plan.batch_size`` sources per batched CSR traversal — and the shard
-    buffers merge in shard order, so the result is bit-identical for any
+    ``plan.batch_size`` sources per kernel call — and the shard buffers
+    merge in shard order, so the result is bit-identical for any
     ``n_jobs`` / ``batch_size``.
     """
-    if resolve_backend(plan.backend) == "csr":
-        csr = plan_snapshot(graph, plan)
-        if sources is None:
-            indices: Sequence[int] = range(csr.number_of_vertices())
-        else:
-            indices = [csr.index_of(s) for s in sources]
-        if not indices:
-            return csr.array_to_vertex_map(np.zeros(csr.number_of_vertices()))
-        kernel = resolve_kernel(plan.kernel)
-        totals = merge_ordered(
-            run_sharded(
-                dependency_sum_shard_csr,
-                split_shards(indices),
-                n_jobs=plan.n_jobs,
-                plan=plan,
-                # Interning keeps one payload object per (snapshot, batch,
-                # kernel, threads) across calls, so a persistent pool ships
-                # the CSR arrays to its workers once per session, not per
-                # request.
-                shared=interned_payload(
-                    plan,
-                    (
-                        "dep-sum-csr",
-                        id(csr),
-                        plan.batch_size,
-                        kernel,
-                        plan.kernel_threads,
-                    ),
-                    lambda: (csr, plan.batch_size, kernel, plan.kernel_threads),
-                ),
-            )
-        )
-        return csr.array_to_vertex_map(totals * scale)
-    source_list = list(sources) if sources is not None else graph.vertices()
-    for s in source_list:
-        graph.validate_vertex(s)
-    if not source_list:
-        return {v: 0.0 for v in graph.vertices()}
+    view = plan_view(graph, plan)
+    if sources is None:
+        indices: Sequence = view.vertex_indices()
+    else:
+        indices = [view.index_of(s) for s in sources]
+    if not indices:
+        return view.array_to_vertex_map(view.zeros())
+    kernel = resolve_kernel(plan.kernel)
     totals = merge_ordered(
         run_sharded(
-            dependency_sum_shard_dict,
-            split_shards(source_list),
+            dependency_sum_shard,
+            split_shards(indices),
             n_jobs=plan.n_jobs,
             plan=plan,
-            shared=graph,
+            # Interning keeps one payload object per (view, batch, kernel,
+            # threads) across calls, so a persistent pool ships the
+            # snapshot to its workers once per session, not per request.
+            shared=interned_payload(
+                plan,
+                ("dep-sum", id(view), plan.batch_size, kernel, plan.kernel_threads),
+                lambda: (view, plan.batch_size, kernel, plan.kernel_threads),
+            ),
         )
     )
-    return {v: totals.get(v, 0.0) * scale for v in graph.vertices()}
+    return {v: total * scale for v, total in view.array_to_vertex_map(totals).items()}
 
 
 def sharded_dependencies_on_target(
@@ -254,56 +230,37 @@ def sharded_dependencies_on_target(
     """
     if not sources:
         return []
-    if resolve_backend(plan.backend) == "csr":
-        csr = plan_snapshot(graph, plan)
-        target_index = csr.index_of(target)
-        kernel = resolve_kernel(plan.kernel)
-        return merge_ordered(
-            run_sharded(
-                dependency_at_target_shard_csr,
-                split_shards([csr.index_of(s) for s in sources]),
-                n_jobs=plan.n_jobs,
-                plan=plan,
-                # One interned payload per (snapshot, batch, target, kernel,
-                # threads): a persistent pool re-ships nothing for repeated
-                # targets.
-                shared=interned_payload(
-                    plan,
-                    (
-                        "dep-at-target-csr",
-                        id(csr),
-                        plan.batch_size,
-                        target_index,
-                        kernel,
-                        plan.kernel_threads,
-                    ),
-                    lambda: (
-                        csr,
-                        plan.batch_size,
-                        target_index,
-                        kernel,
-                        plan.kernel_threads,
-                    ),
-                ),
-            )
-        )
+    view = plan_view(graph, plan)
+    target_index = view.index_of(target)
+    kernel = resolve_kernel(plan.kernel)
     return merge_ordered(
         run_sharded(
-            dependency_at_target_shard_dict,
-            split_shards(sources),
+            dependency_at_target_shard,
+            split_shards([view.index_of(s) for s in sources]),
             n_jobs=plan.n_jobs,
             plan=plan,
+            # One interned payload per (view, batch, target, kernel,
+            # threads): a persistent pool re-ships nothing for repeated
+            # targets.
             shared=interned_payload(
                 plan,
-                ("dep-at-target-dict", id(graph), graph.version, target),
-                lambda: (graph, target),
+                (
+                    "dep-at-target",
+                    id(view),
+                    plan.batch_size,
+                    target_index,
+                    kernel,
+                    plan.kernel_threads,
+                ),
+                lambda: (view, plan.batch_size, target_index, kernel, plan.kernel_threads),
             ),
         )
     )
 
 
 # ----------------------------------------------------------------------
-# Shard workers (module-level so the multiprocessing pool can pickle them)
+# Kernel entry + shard workers (module-level so the multiprocessing pool
+# can pickle them)
 # ----------------------------------------------------------------------
 def iter_batches(items: Sequence, batch_size: int):
     """Yield contiguous slices of *items* of at most *batch_size* elements."""
@@ -311,77 +268,77 @@ def iter_batches(items: Sequence, batch_size: int):
         yield items[start : start + batch_size]
 
 
-def dependency_sum_shard_csr(shared, shard):
-    """Shard worker: sum the dependency vectors of the shard's source indices.
+def source_dependency_rows(
+    view, sources: Sequence, *, out=None, kernel: str = "auto", kernel_threads: int = 1
+):
+    """Kernel entry: the dependency vectors of *sources* (indices of *view*).
 
-    ``shared`` is ``(csr, batch_size)``, optionally extended with
-    ``kernel`` (third element) and ``kernel_threads`` (fourth) — the
-    positional tail threads an :class:`~repro.execution.plan.
-    ExecutionPlan`'s kernel rung and thread count into the worker process
-    (shorter payloads resolve ``"auto"`` / 1).  The sum follows the
-    canonical accumulation order (one vector addition per source, in shard
-    order), so the buffer is bit-identical however the sources are batched
-    — and whichever kernel rung, on however many threads, runs the passes.
+    Returns one row per source, in source order, each indexable by every
+    vertex index of *view*.  With *out* (a ``view.zeros()`` buffer) every
+    row is also added into it, one source at a time in source order — the
+    canonical accumulation order of the determinism contract.
+
+    On a CSR snapshot the rows are the ``(K, n)`` matrix of the batched
+    kernels (:func:`~repro.shortest_paths.batch.batch_source_dependencies`,
+    on the rung *kernel* resolves to, on *kernel_threads* threads).  On the
+    dict :class:`~repro.graphs.csr.ReferenceView` each row is one
+    pure-Python BFS / Dijkstra pass plus :func:`accumulate_dependencies`,
+    completed with 0.0 for unreachable vertices; the kernel knobs do not
+    apply.
     """
-    csr, batch_size = shared[0], shared[1]
-    kernel = shared[2] if len(shared) > 2 else "auto"
-    kernel_threads = shared[3] if len(shared) > 3 else 1
+    if view.backend == "dict":
+        graph = view.graph
+        build = spd_builder(graph)
+        rows = []
+        for s in sources:
+            row = view.zeros()
+            row.update(accumulate_dependencies(build(graph, s)))
+            if out is not None:
+                for v, delta in row.items():
+                    out[v] += delta
+            rows.append(row)
+        return rows
     from repro.shortest_paths.batch import batch_source_dependencies
 
-    out = np.zeros(csr.number_of_vertices())
+    return batch_source_dependencies(
+        view, sources, out=out, kernel=kernel, kernel_threads=kernel_threads
+    )
+
+
+def dependency_sum_shard(shared, shard):
+    """Shard worker: sum the dependency vectors of the shard's source indices.
+
+    ``shared`` is ``(view, batch_size, kernel, kernel_threads)``: the view
+    (CSR snapshot or dict reference view) and the plan's batch size,
+    resolved kernel rung and thread count.  The sum follows the canonical
+    accumulation order (one vector addition per source, in shard order),
+    so the buffer is bit-identical however the sources are batched — and
+    whichever kernel rung, on however many threads, runs the passes.
+    """
+    view, batch_size, kernel, kernel_threads = shared
+    out = view.zeros()
     for batch in iter_batches(shard, batch_size):
-        batch_source_dependencies(
-            csr, batch, out=out, kernel=kernel, kernel_threads=kernel_threads
+        source_dependency_rows(
+            view, batch, out=out, kernel=kernel, kernel_threads=kernel_threads
         )
     return out
 
 
-def dependency_sum_shard_dict(shared, shard):
-    """Dict-backend twin of :func:`dependency_sum_shard_csr` (``shared`` = graph)."""
-    graph = shared
-    build = spd_builder(graph)
-    totals: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-    for s in shard:
-        for v, delta in accumulate_dependencies(build(graph, s)).items():
-            if v != s:
-                totals[v] += delta
-    return totals
-
-
-def dependency_at_target_shard_csr(shared, shard) -> List[float]:
+def dependency_at_target_shard(shared, shard) -> List[float]:
     """Shard worker: per-source dependency on one target index.
 
-    ``shared`` is ``(csr, batch_size, target_index)``, optionally extended
-    with ``kernel`` (fourth element) and ``kernel_threads`` (fifth — see
-    :func:`dependency_sum_shard_csr`); returns one float per shard source,
-    in shard order.  A source equal to the target reads its own delta
-    entry, which is 0 by construction — matching the dict backend's
-    explicit skip.
+    ``shared`` is ``(view, batch_size, target_index, kernel,
+    kernel_threads)`` (see :func:`dependency_sum_shard`); returns one float
+    per shard source, in shard order.  A source equal to the target reads
+    its own delta entry, which is 0 by construction.
     """
-    csr, batch_size, target_index = shared[0], shared[1], shared[2]
-    kernel = shared[3] if len(shared) > 3 else "auto"
-    kernel_threads = shared[4] if len(shared) > 4 else 1
-    from repro.shortest_paths.batch import batch_source_dependencies
-
+    view, batch_size, target_index, kernel, kernel_threads = shared
     values: List[float] = []
     for batch in iter_batches(shard, batch_size):
-        deltas = batch_source_dependencies(
-            csr, batch, kernel=kernel, kernel_threads=kernel_threads
+        rows = source_dependency_rows(
+            view, batch, kernel=kernel, kernel_threads=kernel_threads
         )
-        values.extend(float(deltas[k, target_index]) for k in range(len(batch)))
-    return values
-
-
-def dependency_at_target_shard_dict(shared, shard) -> List[float]:
-    """Dict-backend twin of :func:`dependency_at_target_shard_csr` (``shared`` = (graph, target))."""
-    graph, target = shared
-    build = spd_builder(graph)
-    values: List[float] = []
-    for s in shard:
-        if s == target:
-            values.append(0.0)
-            continue
-        values.append(accumulate_dependencies(build(graph, s)).get(target, 0.0))
+        values.extend(float(row[target_index]) for row in rows)
     return values
 
 

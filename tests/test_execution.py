@@ -167,6 +167,21 @@ def test_resolve_plan_returns_the_default_plan_without_any_knob(monkeypatch):
     assert DEFAULT_SHARD_SIZE % DEFAULT_BATCH_SIZE == 0
 
 
+def test_execution_plan_defaults_are_the_default_plan(monkeypatch):
+    """A hand-built ExecutionPlan() runs the same batches as resolve_plan(None)."""
+    for name in (
+        "REPRO_JOBS",
+        "REPRO_BATCH",
+        "REPRO_SHARED_CACHE",
+        "REPRO_SHARED_GRAPH",
+        "REPRO_MP_CONTEXT",
+        "REPRO_KERNEL_THREADS",
+    ):
+        monkeypatch.delenv(name, raising=False)
+    assert ExecutionPlan() == resolve_plan(None)
+    assert ExecutionPlan(n_jobs=2).batch_size == DEFAULT_BATCH_SIZE
+
+
 def test_resolve_plan_env_overrides(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "3")
     monkeypatch.setenv("REPRO_BATCH", "16")
@@ -240,38 +255,41 @@ def test_run_sharded_pool_preserves_shard_order():
 
 def test_worker_payloads_survive_a_real_pool():
     """Graphs below one shard run inline, so force multi-shard pool runs to
-    prove the CSR snapshot, the Graph and sampler instances all pickle into
-    worker processes and come back with identical buffers."""
-    from repro.samplers.riondato_kornaropoulos import _rk_hits_shard_csr
-    from repro.shortest_paths.dependencies import (
-        dependency_sum_shard_csr,
-        dependency_sum_shard_dict,
-    )
+    prove the CSR snapshot, the dict reference view (with its Graph) and
+    the path-sampler payloads all pickle into worker processes and come
+    back with identical buffers."""
+    from repro.samplers.riondato_kornaropoulos import _path_hits_shard
+    from repro.shortest_paths.dependencies import dependency_sum_shard
 
     graph = barabasi_albert_graph(60, 2, seed=1)
     csr = graph.csr()
     shards = split_shards(list(range(60)), 16)
     inline = run_sharded(
-        dependency_sum_shard_csr, shards, n_jobs=1, shared=(csr, 4)
+        dependency_sum_shard, shards, n_jobs=1, shared=(csr, 4, "auto", 1)
     )
     pooled = run_sharded(
-        dependency_sum_shard_csr, shards, n_jobs=2, shared=(csr, 4)
+        dependency_sum_shard, shards, n_jobs=2, shared=(csr, 4, "auto", 1)
     )
     for a, b in zip(inline, pooled):
         assert np.array_equal(a, b)
 
+    view = graph.reference_view()
     label_shards = split_shards(graph.vertices(), 16)
-    inline_dict = run_sharded(dependency_sum_shard_dict, label_shards, n_jobs=1, shared=graph)
-    pooled_dict = run_sharded(dependency_sum_shard_dict, label_shards, n_jobs=2, shared=graph)
+    inline_dict = run_sharded(
+        dependency_sum_shard, label_shards, n_jobs=1, shared=(view, 4, "auto", 1)
+    )
+    pooled_dict = run_sharded(
+        dependency_sum_shard, label_shards, n_jobs=2, shared=(view, 4, "auto", 1)
+    )
     assert inline_dict == pooled_dict
 
     sample_shards = [(10, rng) for rng in shard_rngs(random.Random(6), 3)]
-    inline_rk = run_sharded(_rk_hits_shard_csr, sample_shards, n_jobs=1, shared=(csr, 3))
+    inline_rk = run_sharded(_path_hits_shard, sample_shards, n_jobs=1, shared=(csr, 3, False))
     pooled_rk = run_sharded(
-        _rk_hits_shard_csr,
+        _path_hits_shard,
         [(10, rng) for rng in shard_rngs(random.Random(6), 3)],
         n_jobs=3,
-        shared=(csr, 3),
+        shared=(csr, 3, False),
     )
     assert inline_rk == pooled_rk
 
@@ -769,21 +787,24 @@ def test_execution_plan_validates_and_carries_the_kernel():
 
 
 def test_shard_worker_payloads_accept_the_kernel_element():
-    """Shard workers read the optional kernel payload element; old-style
-    payloads without it keep working (the cross-version cache contract)."""
+    """Shard workers take the kernel rung and thread count from their
+    payload, which is always the full tuple (no positional defaults); the
+    rung never changes a buffer."""
     from repro.shortest_paths.dependencies import (
-        dependency_at_target_shard_csr,
-        dependency_sum_shard_csr,
+        dependency_at_target_shard,
+        dependency_sum_shard,
     )
 
     csr = barabasi_albert_graph(24, 2, seed=9).csr()
     shard = list(range(8))
-    legacy = dependency_sum_shard_csr((csr, 4), shard)
-    tagged = dependency_sum_shard_csr((csr, 4, "csr"), shard)
-    assert np.array_equal(legacy, tagged)
-    legacy_t = dependency_at_target_shard_csr((csr, 4, 3), shard)
-    tagged_t = dependency_at_target_shard_csr((csr, 4, 3, "csr"), shard)
-    assert legacy_t == tagged_t
+    auto = dependency_sum_shard((csr, 4, "auto", 1), shard)
+    numpy_rung = dependency_sum_shard((csr, 4, "csr", 1), shard)
+    assert np.array_equal(auto, numpy_rung)
+    assert dependency_at_target_shard((csr, 4, 3, "auto", 1), shard) == (
+        dependency_at_target_shard((csr, 4, 3, "csr", 1), shard)
+    )
+    with pytest.raises(ValueError):
+        dependency_sum_shard((csr, 4), shard)
 
 
 def test_kernel_knob_never_changes_engine_results(monkeypatch):

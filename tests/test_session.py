@@ -156,6 +156,23 @@ class TestWarmStateActuallyWarm:
         assert stats["payload_installs"] == 1
 
 
+class TestPassBilling:
+    def test_relative_and_ranking_bill_their_brandes_passes(self, graph):
+        """A relative query grows the session's pass counter by exactly the
+        chain's oracle evaluations, and so does the ranking built on it."""
+        with BetweennessSession(graph) as session:
+            before = session.stats()["brandes_passes"]
+            estimate = session.relative([0, 1, 2], samples=80, seed=5)
+            billed = session.stats()["brandes_passes"] - before
+        with BetweennessSession(graph) as session:
+            session.ranking([0, 1, 2], samples=80, seed=5)
+            ranked = session.stats()["brandes_passes"]
+        assert estimate.chain.evaluations > 0
+        assert estimate.diagnostics["evaluations"] == estimate.chain.evaluations
+        assert billed == estimate.chain.evaluations
+        assert ranked == estimate.chain.evaluations
+
+
 class TestGraphMutation:
     def test_mutation_invalidates_and_matches_cold_on_new_graph(self, graph):
         hub = graph.vertices()[0]
